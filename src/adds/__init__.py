@@ -20,7 +20,7 @@ Library layout:
 from .metrics import MetricsReport, f1_at_k, mean_average_precision, metrics_report
 from .pyramid import PyramidPlan, build_plan, cost_report, extract_tiles
 from .supervision import AslConfig, asl_loss, cosine_baseline, select_labels
-from .training import Checkpoint, TrainConfig, evaluate_checkpoint, open_vocab_split, train
+from .training import Checkpoint, TrainConfig, evaluation_scores, open_vocab_split, train
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "build_plan",
     "cosine_baseline",
     "cost_report",
-    "evaluate_checkpoint",
+    "evaluation_scores",
     "extract_tiles",
     "f1_at_k",
     "mean_average_precision",

@@ -236,10 +236,10 @@ def cmd_eval(args) -> int:
             n_eval=settings["n_eval"],
             eval_seed=settings["eval_seed"],
         )
+        report = metrics_report(scores, labels, settings["ks"])
     except (ValueError, ConfigurationError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = metrics_report(scores, labels, settings["ks"])
 
     run_id = hashlib.sha256(
         json.dumps(settings, sort_keys=True).encode()

@@ -3,9 +3,9 @@
 Each dual-modal block runs the usual text-queries-image cross-attention and
 feed-forward path, then a second cross-attention in which the visual tokens
 query the text-refined summary; the refreshed visual tokens become the
-key/value input of the next block. The baseline block variant (for ablation)
-keeps only the first cross-attention path and passes keys/values through
-untouched.
+key/value input of the next block. The last block has no next block, so it
+stops after the query path. The baseline block variant (for ablation) keeps
+only the first cross-attention path and passes keys/values through untouched.
 """
 
 from dataclasses import dataclass, field
@@ -77,13 +77,20 @@ class DecoderBlockParams:
     norms: dict = field(default_factory=dict)  # site name -> LayerNormParams
     dropout_rate: float = 0.1
 
-    def tensors(self):
+    def tensors(self, visual=True, q_out=True):
+        """Named tensors in forward order. ``visual=False`` leaves out the
+        visual branch (``attn_visual`` and the ``v_out`` norm), ``q_out=False``
+        the query output norm."""
+        groups = [("attn_text", self.attn_text)]
+        if visual:
+            groups.append(("attn_visual", self.attn_visual))
+        groups.append(("ffn", self.ffn))
         out = []
-        for prefix, group in (("attn_text", self.attn_text),
-                              ("attn_visual", self.attn_visual),
-                              ("ffn", self.ffn)):
+        for prefix, group in groups:
             out.extend((f"{prefix}.{n}", t) for n, t in group.tensors())
         for site in NORM_SITES:
+            if (site == "q_out" and not q_out) or (site == "v_out" and not visual):
+                continue
             out.extend((f"norm.{site}.{n}", t) for n, t in self.norms[site].tensors())
         return out
 
@@ -106,10 +113,23 @@ class DecoderStack:
     embed_dim: int
     heads: int
 
+    def runs_visual_branch(self, i: int) -> bool:
+        """Block i's visual branch makes the keys/values of block i + 1, so
+        only a dual-modal block that has a next block runs it."""
+        return self.kind == "dual_modal" and i < len(self.blocks) - 1
+
     def tensors(self):
+        """Named tensors that ``stack_forward`` reads, block by block.
+
+        The init draws every block's full parameter set, so the dead ones
+        (the last dual-modal block's visual branch; a baseline block's
+        visual branch and query output norm) exist but are not listed.
+        """
         out = []
         for i, blk in enumerate(self.blocks):
-            out.extend((f"block{i}.{n}", t) for n, t in blk.tensors())
+            live = blk.tensors(visual=self.runs_visual_branch(i),
+                               q_out=self.kind == "dual_modal")
+            out.extend((f"block{i}.{n}", t) for n, t in live)
         return out
 
 
@@ -210,12 +230,19 @@ def _query_path(q, k, v, params, heads, training, stream):
     return q5
 
 
-def dm_block_forward(q, k, v, params, heads, training=False, stream=None):
-    """One dual-modal block. Returns (q_out, k_out, v_out); k_out is v_out."""
+def dm_block_forward(q, k, v, params, heads, training=False, stream=None,
+                     refresh_kv=True):
+    """One dual-modal block. Returns (q_out, k_out, v_out); k_out is v_out.
+
+    With ``refresh_kv=False`` the visual branch is skipped and k, v pass
+    through: the last block's refreshed keys/values would feed nothing.
+    """
     _check_qkv(q, k, v)
     ln = params.norms
     q5 = _query_path(q, k, v, params, heads, training, stream)
     q_out = layer_norm(add(q5, q), ln["q_out"].gain, ln["q_out"].bias, LAYER_NORM_EPS)
+    if not refresh_kv:
+        return q_out, k, v
     v1 = multi_head_attention(v, q5, q5, params.attn_visual, heads)
     v_out = layer_norm(add(v1, v), ln["v_out"].gain, ln["v_out"].bias, LAYER_NORM_EPS)
     return q_out, v_out, v_out
@@ -232,14 +259,18 @@ def stack_forward(q0: Tensor, kv0: Tensor, stack: DecoderStack,
                   training=False, stream=None) -> Tensor:
     """Thread (Q, K, V) through all blocks, starting with K = V = kv0.
 
-    Only the final block's query output is returned.
+    Only the final block's query output is returned, so the final block
+    skips its visual branch.
     """
     if not stack.blocks:
         raise ConfigurationError("decoder stack is empty")
-    forward = dm_block_forward if stack.kind == "dual_modal" else baseline_block_forward
     q, k, v = q0, kv0, kv0
-    for blk in stack.blocks:
-        q, k, v = forward(q, k, v, blk, stack.heads, training, stream)
+    for i, blk in enumerate(stack.blocks):
+        if stack.kind == "dual_modal":
+            q, k, v = dm_block_forward(q, k, v, blk, stack.heads, training, stream,
+                                       refresh_kv=stack.runs_visual_branch(i))
+        else:
+            q, k, v = baseline_block_forward(q, k, v, blk, stack.heads, training, stream)
     return q
 
 

@@ -56,13 +56,12 @@ def top_k_predictions(scores: np.ndarray, k: int) -> np.ndarray:
 
     Ties break by ascending class index.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     scores = np.atleast_2d(scores)
-    n, c = scores.shape
-    k = min(k, c)
-    pred = np.zeros((n, c), dtype=np.int8)
-    for i in range(n):
-        order = np.lexsort((np.arange(c), -scores[i]))
-        pred[i, order[:k]] = 1
+    order = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    pred = np.zeros(scores.shape, dtype=np.int8)
+    np.put_along_axis(pred, order, 1, axis=1)
     return pred
 
 

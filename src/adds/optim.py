@@ -68,8 +68,8 @@ def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
     if not np.isfinite(loss.value).all():
         raise NumericError("loss is not finite")
     backward(loss)
-    # params outside the graph (e.g. the last block's unused visual branch)
-    # have no accumulated grad; their analytic gradient is zero
+    # params the loss does not reach get no grad from backward; their
+    # analytic gradient is zero
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
         for p in params

@@ -54,7 +54,7 @@ def select_labels(batch_labels, alpha: float, stream) -> LabelSelection:
     )
 
 
-def asl_value_and_grad(p: np.ndarray, y: np.ndarray, cfg: AslConfig):
+def asl_loss(p, y, cfg: AslConfig):
     """Asymmetric loss (mean over classes) and its gradient w.r.t. p.
 
     Positives: -(1-p)^g+ * log p. Negatives, with p_m = max(p - margin, 0):
@@ -96,14 +96,9 @@ def asl_value_and_grad(p: np.ndarray, y: np.ndarray, cfg: AslConfig):
     return float(loss.mean()), grad / n
 
 
-def asl_loss(p, y, cfg: AslConfig):
-    """Array-in, (scalar, gradient)-out form of the asymmetric loss."""
-    return asl_value_and_grad(p, y, cfg)
-
-
 def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
     """Graph form: scalar loss Tensor over a k x 1 probability column."""
-    value, grad = asl_value_and_grad(p.value, y, cfg)
+    value, grad = asl_loss(p.value, y, cfg)
     grad_col = grad.reshape(p.value.shape).astype(p.value.dtype)
 
     def backward(g):

@@ -46,10 +46,6 @@ def param(value, name=None, trainable=True) -> Tensor:
     return Tensor(np.array(value), trainable=trainable, name=name)
 
 
-def constant(value, name=None) -> Tensor:
-    return Tensor(np.asarray(value), trainable=False, name=name)
-
-
 def _node(value, parents, backward) -> Tensor:
     return Tensor(value, _parents=parents, _backward=backward)
 
@@ -102,17 +98,6 @@ def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
         v.grad += g.sum(axis=0, keepdims=True)
 
     return _node(x.value + v.value, (x, v), backward)
-
-
-def mul_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    if v.value.shape != (1, x.value.shape[1]):
-        raise ShapeError(f"mul_rowvec: {x.value.shape} * {v.value.shape}")
-
-    def backward(g):
-        x.grad += g * v.value
-        v.grad += (g * x.value).sum(axis=0, keepdims=True)
-
-    return _node(x.value * v.value, (x, v), backward)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
@@ -188,14 +173,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def dropout(x: Tensor, rate: float, stream, training: bool) -> Tensor:
-    """Inverted dropout; identity at inference. Same stream state => same mask."""
+    """Inverted dropout. At inference or rate 0 it returns ``x`` itself and
+    draws nothing. Same stream state => same mask."""
     if rate >= 1.0:
         raise ConfigurationError(f"dropout rate must be < 1, got {rate}")
     if not training or rate == 0.0:
-        def backward_id(g):
-            x.grad += g
-
-        return _node(x.value.copy(), (x,), backward_id)
+        return x
     keep = stream.random(x.value.shape) >= rate
     factor = x.value.dtype.type(1.0 / (1.0 - rate))
     mask = keep.astype(x.value.dtype) * factor

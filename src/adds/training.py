@@ -17,11 +17,10 @@ from .decoder import classify, init_head, init_stack, stack_forward
 from .encoders import DEFAULT_PROMPTS, PromptTemplate, embed_label, make_synthetic_world
 from .errors import ConfigurationError
 from .optim import AdamState, adam_step
-from .pyramid import build_plan, encode_and_stack, extract_tiles
+from .pyramid import build_plan, encode_and_stack, extract_tiles, resize_bilinear
 from .rng import SeedStreams
-from .supervision import AslConfig, asl_loss_node, select_labels
+from .supervision import AslConfig, asl_loss_node, cosine_baseline, select_labels
 from .tensor import Tensor, add, backward, scale
-from .metrics import MetricsReport, metrics_report
 
 
 def default_lr(target_side: int) -> float:
@@ -65,13 +64,22 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ConfigurationError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("epochs", "batch_size", "n_train", "depth", "heads"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if self.lr < 0:
             self.lr = default_lr(self.image_side)
-        if self.n_seen > self.classes:
+        if not 0 < self.n_seen < self.classes:
             raise ConfigurationError(
-                f"n_seen {self.n_seen} exceeds class count {self.classes}"
+                f"n_seen {self.n_seen} must be in [1, {self.classes}): "
+                "at least one class must be seen and one unseen"
+            )
+        if self.kind not in ("dual_modal", "baseline"):
+            raise ConfigurationError(f"unknown block kind {self.kind!r}")
+        if self.embed_dim % self.heads != 0:
+            raise ConfigurationError(
+                f"embed dim {self.embed_dim} not divisible by heads {self.heads}"
             )
 
     def to_dict(self) -> dict:
@@ -171,14 +179,6 @@ def named_parameters(stack, head):
     out = [(f"decoder.{n}", t) for n, t in stack.tensors()]
     out.extend((f"head.{n}", t) for n, t in head.tensors())
     return out
-
-
-def forward_scores(stack, head, q0_values, kv_values, dtype=None) -> np.ndarray:
-    """Inference-mode per-label probabilities for one image; returns (k,)."""
-    q0 = Tensor(np.asarray(q0_values))
-    kv = Tensor(np.asarray(kv_values))
-    probs = classify(stack_forward(q0, kv, stack, training=False), head)
-    return probs.value.reshape(-1)
 
 
 def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> Checkpoint:
@@ -298,20 +298,6 @@ def restore_model(ckpt: Checkpoint):
     return config, world, stack, head
 
 
-def evaluate(stack, head, q0_values, kv_list, labels, ks=(3, 5)) -> MetricsReport:
-    """Score every image against the given label queries and report metrics.
-
-    ``labels`` is n_images x n_labels, aligned with the rows of ``q0_values``.
-    """
-    labels = np.atleast_2d(np.asarray(labels))
-    if labels.shape[0] == 0:
-        raise ValueError("dataset is empty")
-    scores = np.stack(
-        [forward_scores(stack, head, q0_values, kv) for kv in kv_list]
-    )
-    return metrics_report(scores, labels, ks)
-
-
 def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
                       class_subset=None):
     """Sample a fresh evaluation set from the checkpoint's world and score it.
@@ -329,42 +315,26 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
             raise ValueError(f"label {name!r} is not a class of this world")
     vocab_idx = np.array([world.class_names.index(n) for n in vocab])
     dtype = config.np_dtype
-    q0 = label_queries(world, vocab, dtype)
+    q0 = Tensor(label_queries(world, vocab, dtype))
 
     stream = SeedStreams(eval_seed).stream("eval_data")
     samples = world.sample_many(stream, n_eval, class_subset=class_subset)
-    kv_list = [encode_image(world, plan, img, dtype) for img, _ in samples]
+    rows = []
+    for img, _ in samples:
+        kv = Tensor(encode_image(world, plan, img, dtype))
+        rows.append(classify(stack_forward(q0, kv, stack), head).value.reshape(-1))
     labels = np.stack([lab[vocab_idx] for _, lab in samples])
-    scores = np.stack(
-        [forward_scores(stack, head, q0, kv) for kv in kv_list]
-    )
-    return scores, labels, list(vocab)
+    return np.stack(rows), labels, list(vocab)
 
 
 def cosine_baseline_scores(world, images, vocab) -> np.ndarray:
     """Decoder-free reference scores: cosine of each image's global CLS token
-    (level-0 view) against every prompted label embedding."""
-    from .supervision import cosine_baseline
-
-    plan = build_pyramid_plan_for(world)
+    (level-0 view: the whole image resized to the encoder's base size) against
+    every prompted label embedding."""
     q = label_queries(world, vocab)
     rows = []
     for img in images:
-        tile0 = extract_tiles(img, plan)[0]
-        cls = world.image_encoder.encode_tile(tile0)[0]
+        cls = world.image_encoder.encode_tile(resize_bilinear(img, world.base_size))[0]
         scores, _ = cosine_baseline(cls, q)
         rows.append(scores)
     return np.stack(rows)
-
-
-def build_pyramid_plan_for(world):
-    return build_plan(world.base_size, world.image_side)
-
-
-def evaluate_checkpoint(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
-                        ks=(3, 5), class_subset=None) -> MetricsReport:
-    scores, labels, _ = evaluation_scores(
-        ckpt, vocab=vocab, n_eval=n_eval, eval_seed=eval_seed,
-        class_subset=class_subset,
-    )
-    return metrics_report(scores, labels, ks)

@@ -171,6 +171,37 @@ class TestTrainEval:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("line", ["batch_size = 0", "n_train = 0", "n_seen = 8",
+                                      "kind = mystery", "heads = 3", "heads = 0",
+                                      "depth = 0"])
+    def test_invalid_config_exit_1(self, capsys, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + line + "\n")
+        code, _, err = run(capsys, "train", "--config", str(path),
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "checkpoint.adds").exists()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_eval_k_below_one_exit_1(self, capsys, tmp_path, config_file, k):
+        run(capsys, "train", "--config", str(config_file), "--out", str(tmp_path))
+        ckpt = str(tmp_path / "checkpoint.adds")
+        code, _, err = run(capsys, "eval", "--checkpoint", ckpt, "--n-eval", "4",
+                           "--out", str(tmp_path / "e"), "--k", str(k))
+        assert code == 1
+        assert err.startswith("error:")
+        manifest = tmp_path / "bad_manifest.json"
+        manifest.write_text(json.dumps({
+            "config": {"checkpoint": ckpt, "ks": [k], "vocab": None,
+                       "n_eval": 4, "eval_seed": 1},
+            "timestamp": "2000-01-01T00:00:00Z",
+        }))
+        code, _, err = run(capsys, "eval", "--manifest", str(manifest),
+                           "--out", str(tmp_path / "m"))
+        assert code == 1
+        assert err.startswith("error:")
+
     def test_out_dir_env_var(self, capsys, tmp_path, config_file, monkeypatch):
         env_dir = tmp_path / "from-env"
         monkeypatch.setenv(OUT_DIR_ENV, str(env_dir))

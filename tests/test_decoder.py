@@ -13,7 +13,8 @@ from adds.decoder import (
 )
 from adds.errors import ConfigurationError, ShapeError
 from adds.rng import SeedStreams
-from adds.tensor import Tensor
+from adds.supervision import AslConfig, asl_loss_node
+from adds.tensor import Tensor, backward
 
 
 def make_stack(seed=0, **kw):
@@ -129,14 +130,30 @@ class TestStack:
         with pytest.raises(ConfigurationError):
             init_stack(stream, embed_dim=6, heads=4)
 
+    @pytest.mark.parametrize("kind", ["dual_modal", "baseline"])
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_listed_tensors_are_exactly_the_live_ones(self, kind, depth):
+        stack = make_stack(seed=5, depth=depth, kind=kind, heads=2)
+        head = init_head(SeedStreams(6).stream("head"), 4)
+        q0, kv = random_qkv(7, k=3, n=5)
+        probs = classify(stack_forward(Tensor(q0), Tensor(kv), stack), head)
+        backward(asl_loss_node(probs, np.array([1, 0, 1]), AslConfig()))
+        listed = {id(t) for _, t in stack.tensors()}
+        for i, blk in enumerate(stack.blocks):
+            for name, t in blk.tensors():
+                assert (t.grad is not None) == (id(t) in listed), f"block{i}.{name}"
+
     def test_parameter_names_unique_and_complete(self):
         stack = make_stack(depth=3, embed_dim=8, heads=2)
         names = [n for n, _ in stack.tensors()]
         assert len(names) == len(set(names))
         for site in NORM_SITES:
             assert f"block0.norm.{site}.gain" in names
-        # per block: 2 attention groups x 4, ffn x 4, 5 norms x 2
-        assert len(names) == 3 * (8 + 4 + 10)
+        # per block: 2 attention groups x 4, ffn x 4, 5 norms x 2; the last
+        # block has no visual branch (attn_visual x 4, norm v_out x 2)
+        assert len(names) == 3 * (8 + 4 + 10) - 6
+        assert not [n for n in names
+                    if n.startswith(("block2.attn_visual.", "block2.norm.v_out."))]
 
 
 class TestClassifierHead:

@@ -101,6 +101,11 @@ class TestF1AtK:
         expected = 2 * 0.5 * (1 / 3) / (0.5 + 1 / 3)
         assert abs(f1_at_k(scores, labels, 1) - expected) < 1e-12
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            f1_at_k(np.array([[0.9, 0.5, 0.1]]), np.array([[1, 1, 0]]), k)
+
 
 class TestAgainstBruteForce:
     def test_exhaustive_small_label_patterns(self):

@@ -10,7 +10,6 @@ from adds.supervision import (
     AslConfig,
     asl_loss,
     asl_loss_node,
-    asl_value_and_grad,
     cosine_baseline,
     select_labels,
 )
@@ -84,14 +83,14 @@ class TestAslGradient:
         p = g.uniform(0.15, 0.85, size=16)
         p = p[np.abs(p - cfg.margin) > 1e-3]
         y = g.integers(0, 2, size=p.size)
-        _, grad = asl_value_and_grad(p, y, cfg)
+        _, grad = asl_loss(p, y, cfg)
         eps = 1e-6
         for j in range(p.size):
             up, down = p.copy(), p.copy()
             up[j] += eps
             down[j] -= eps
-            numeric = (asl_value_and_grad(up, y, cfg)[0]
-                       - asl_value_and_grad(down, y, cfg)[0]) / (2 * eps)
+            numeric = (asl_loss(up, y, cfg)[0]
+                       - asl_loss(down, y, cfg)[0]) / (2 * eps)
             assert abs(grad[j] - numeric) < 1e-6
 
     def test_node_backward_matches_grad(self):
@@ -102,7 +101,7 @@ class TestAslGradient:
         node_in = param(p.copy())
         loss = asl_loss_node(node_in, y, cfg)
         backward(loss)
-        value, grad = asl_value_and_grad(p.reshape(-1), y, cfg)
+        value, grad = asl_loss(p.reshape(-1), y, cfg)
         assert abs(loss.value[0, 0] - value) < 1e-12
         np.testing.assert_allclose(node_in.grad, grad.reshape(5, 1), atol=1e-12)
 

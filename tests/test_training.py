@@ -3,15 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
+from adds.checkpoint import load_checkpoint, save_checkpoint
 from adds.errors import ConfigurationError
-from adds.metrics import MetricsReport
+from adds.metrics import MetricsReport, metrics_report
 from adds.rng import SeedStreams
 from adds.training import (
     TrainConfig,
+    build_model,
     build_world,
     cosine_baseline_scores,
     default_lr,
-    evaluate_checkpoint,
     evaluation_scores,
     label_queries,
     open_vocab_split,
@@ -124,6 +125,37 @@ class TestTrain:
             np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
             np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
 
+    def test_checkpoint_with_dead_blobs_loads_scores_and_resumes(self, tmp_path):
+        # older checkpoint files also hold tensors that stack_forward never
+        # reads (the last block's visual branch); they must stay loadable
+        cfg = tiny_config(epochs=4)
+        half_cfg = dataclasses.replace(cfg, epochs=2)
+        half = train(half_cfg)
+        stack, _ = build_model(half_cfg, SeedStreams(half_cfg.seed))
+        dead = {f"decoder.block{i}.{n}": t.value
+                for i, blk in enumerate(stack.blocks) for n, t in blk.tensors()
+                if f"decoder.block{i}.{n}" not in half.weights}
+        assert dead
+        legacy = dataclasses.replace(
+            half,
+            weights={**half.weights, **dead},
+            opt_m={**half.opt_m, **{n: np.zeros_like(a) for n, a in dead.items()}},
+            opt_v={**half.opt_v, **{n: np.zeros_like(a) for n, a in dead.items()}},
+        )
+        save_checkpoint(half, tmp_path / "trimmed.adds")
+        save_checkpoint(legacy, tmp_path / "legacy.adds")
+        trimmed = load_checkpoint(tmp_path / "trimmed.adds")
+        legacy = load_checkpoint(tmp_path / "legacy.adds")
+        assert set(dead) <= set(legacy.weights)
+        np.testing.assert_array_equal(evaluation_scores(legacy, n_eval=4)[0],
+                                      evaluation_scores(trimmed, n_eval=4)[0])
+        resumed = train(cfg, resume=legacy)
+        full = train(cfg)
+        assert resumed.loss_history == full.loss_history
+        assert set(resumed.weights) == set(full.weights)
+        for name in full.weights:
+            np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
+
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
         with pytest.raises(ConfigurationError):
@@ -172,7 +204,7 @@ class TestEvaluation:
         assert not np.array_equal(a, c)
 
     def test_report(self, ckpt):
-        report = evaluate_checkpoint(ckpt, n_eval=8, ks=(1, 3))
+        report = metrics_report(*evaluation_scores(ckpt, n_eval=8)[:2], (1, 3))
         assert isinstance(report, MetricsReport)
         assert set(report.f1_at) == {1, 3}
         assert 0.0 <= report.map <= 1.0
