@@ -3,15 +3,21 @@
 Layout (all integers little-endian):
 
     8 bytes   magic "ADDSCKP1"
-    u32       format version (currently 1)
+    u32       format version (currently 2)
     u32 + n   config JSON (canonical, sorted keys)
     32 bytes  sha256 of the config JSON
-    u32 + n   meta JSON: epoch, optimizer step, RNG stream states, loss history
+    u32 + n   meta JSON (canonical): epoch, optimizer step, RNG stream states,
+              loss history
     u32       blob count
-    per blob: u16 name length, name, u32 rows, u32 cols, rows*cols float32 LE
+    per blob: u16 name length, UTF-8 name, u32 rows, u32 cols, rows*cols
+              values LE
 
-Weight tensors are stored under their parameter names; Adam moments under
-"opt.m.<name>" / "opt.v.<name>". Save -> load -> save is byte-identical.
+Version 2 stores the values in the config's ``dtype`` (float32 or float64),
+so a float64 run resumes from a file bit-exactly; version 1 always stored
+float32 and still loads. Weight tensors are stored under their parameter
+names, then the Adam moments under "opt.m.<name>" and "opt.v.<name>" in the
+same order. Save -> load -> save is byte-identical; anything else raises
+``FormatError``.
 """
 
 import hashlib
@@ -24,12 +30,21 @@ from .errors import FormatError
 from .training import Checkpoint
 
 CHECKPOINT_MAGIC = b"ADDSCKP1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+_BLOB_DTYPES = {"float32": "<f4", "float64": "<f8"}
+_META_KEYS = ("epoch", "loss_history", "opt_step", "rng")
 
 
-def _write_blob(parts, name: str, arr: np.ndarray):
+def _blob_dtype(config) -> str:
+    dtype = config.get("dtype") if isinstance(config, dict) else None
+    if not isinstance(dtype, str) or dtype not in _BLOB_DTYPES:
+        raise FormatError(f"checkpoint config has no storable dtype, got {dtype!r}")
+    return _BLOB_DTYPES[dtype]
+
+
+def _write_blob(parts, name: str, arr: np.ndarray, dtype: str):
     raw = name.encode("utf-8")
-    arr2 = np.atleast_2d(np.asarray(arr, dtype="<f4"))
+    arr2 = np.atleast_2d(np.asarray(arr, dtype=dtype))
     parts.append(struct.pack("<H", len(raw)))
     parts.append(raw)
     parts.append(struct.pack("<II", arr2.shape[0], arr2.shape[1]))
@@ -54,11 +69,12 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     parts.append(struct.pack("<I", len(meta_json)))
     parts.append(meta_json)
     blobs = list(ckpt.weights.items())
-    blobs += [(f"opt.m.{n}", a) for n, a in ckpt.opt_m.items()]
-    blobs += [(f"opt.v.{n}", a) for n, a in ckpt.opt_v.items()]
+    blobs += [(f"opt.m.{n}", ckpt.opt_m[n]) for n in ckpt.weights]
+    blobs += [(f"opt.v.{n}", ckpt.opt_v[n]) for n in ckpt.weights]
     parts.append(struct.pack("<I", len(blobs)))
+    dtype = _blob_dtype(ckpt.config)
     for name, arr in blobs:
-        _write_blob(parts, name, arr)
+        _write_blob(parts, name, arr, dtype)
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -82,13 +98,25 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
+def _canonical_json(raw: bytes, what: str):
+    """Parse JSON that ``save_checkpoint`` wrote; other bytes would not
+    survive a save."""
+    try:
+        value = json.loads(raw.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"checkpoint {what} is not valid JSON: {exc}") from None
+    if json.dumps(value, sort_keys=True).encode("utf-8") != raw:
+        raise FormatError(f"checkpoint {what} JSON is not in canonical form")
+    return value
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as fh:
         r = _Reader(fh.read())
     if r.take(8, "magic") != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic, expected {CHECKPOINT_MAGIC!r}")
     version = r.u32("version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise FormatError(
             f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
@@ -96,32 +124,48 @@ def load_checkpoint(path) -> Checkpoint:
     stored_hash = r.take(32, "config hash")
     if hashlib.sha256(config_json).digest() != stored_hash:
         raise FormatError("config hash mismatch")
-    config = json.loads(config_json)
-    meta = json.loads(r.take(r.u32("meta length"), "meta"))
+    config = _canonical_json(config_json, "config")
+    dtype = "<f4" if version == 1 else _blob_dtype(config)
+    meta = _canonical_json(r.take(r.u32("meta length"), "meta"), "meta")
+    if not isinstance(meta, dict) or sorted(meta) != list(_META_KEYS):
+        raise FormatError(f"checkpoint meta must hold exactly the keys {_META_KEYS}")
+    if not (type(meta["epoch"]) is int and type(meta["opt_step"]) is int
+            and isinstance(meta["loss_history"], list) and isinstance(meta["rng"], dict)):
+        raise FormatError("checkpoint meta values have the wrong types")
     n_blobs = r.u32("blob count")
-    weights, opt_m, opt_v = {}, {}, {}
+    blobs = {}
     for _ in range(n_blobs):
-        name = r.take(r.u16("blob name length"), "blob name").decode("utf-8")
+        raw_name = r.take(r.u16("blob name length"), "blob name")
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"blob name {raw_name!r} is not UTF-8") from None
+        if name in blobs:
+            raise FormatError(f"duplicate blob {name!r}")
         rows = r.u32("blob rows")
         cols = r.u32("blob cols")
-        arr = np.frombuffer(
-            r.take(4 * rows * cols, f"blob {name}"), dtype="<f4"
+        size = np.dtype(dtype).itemsize * rows * cols
+        blobs[name] = np.frombuffer(
+            r.take(size, f"blob {name}"), dtype=dtype
         ).reshape(rows, cols).copy()
-        if name.startswith("opt.m."):
-            opt_m[name[6:]] = arr
-        elif name.startswith("opt.v."):
-            opt_v[name[6:]] = arr
-        else:
-            weights[name] = arr
     if r.pos != len(r.data):
         raise FormatError(f"{len(r.data) - r.pos} trailing bytes in checkpoint")
+    names = list(blobs)
+    weights = [n for n in names if not n.startswith(("opt.m.", "opt.v."))]
+    if names != (weights + [f"opt.m.{n}" for n in weights]
+                 + [f"opt.v.{n}" for n in weights]):
+        raise FormatError("checkpoint blobs are not weights, then opt.m.*, then opt.v.* "
+                          "of the same names")
+    for n in weights:
+        if not blobs[n].shape == blobs[f"opt.m.{n}"].shape == blobs[f"opt.v.{n}"].shape:
+            raise FormatError(f"blob {n!r} and its Adam moments differ in shape")
     return Checkpoint(
         config=config,
         config_hash=hashlib.sha256(config_json).hexdigest(),
         epoch=meta["epoch"],
-        weights=weights,
-        opt_m=opt_m,
-        opt_v=opt_v,
+        weights={n: blobs[n] for n in weights},
+        opt_m={n: blobs[f"opt.m.{n}"] for n in weights},
+        opt_v={n: blobs[f"opt.v.{n}"] for n in weights},
         opt_step=meta["opt_step"],
         rng=meta["rng"],
         loss_history=meta["loss_history"],

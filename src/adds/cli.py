@@ -110,7 +110,7 @@ def cmd_plan(args) -> int:
             selected_levels=levels,
             cls_only_non_bottom=args.cls_only,
         )
-    except (ConfigurationError, IndexError, ValueError) as exc:
+    except (ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = cost_report(plan)

@@ -111,7 +111,7 @@ def build_plan(
     else:
         for i in selected_levels:
             if not 0 <= i < n_levels:
-                raise IndexError(
+                raise ConfigurationError(
                     f"selected level {i} out of range for {n_levels} levels"
                 )
         selected = sorted(set(selected_levels))

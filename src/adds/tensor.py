@@ -1,10 +1,10 @@
 """Dense 2-D tensors with reverse-mode gradient accumulation.
 
 The op set is deliberately closed: matmul, elementwise add/mul, row-vector
-broadcasts, relu, sigmoid, row softmax, layer norm, dropout, column
-slice/concat, transpose, and mean reduction. Multi-head attention and the
-feed-forward block are composed from these primitives so every gradient path
-is covered by finite-difference checks.
+broadcast add, scale, relu, sigmoid, layer norm, dropout, mean reduction, and
+multi-head attention, which is one node with a hand-written backward over all
+heads. The feed-forward block is composed from these primitives. Every
+gradient path is covered by finite-difference checks.
 
 All values are 2-D numpy arrays; scalars are shaped (1, 1). Tests run in
 float64, training may run in float32; ops preserve the input dtype.
@@ -109,13 +109,6 @@ def scale(x: Tensor, s: float) -> Tensor:
     return _node(x.value * s, (x,), backward)
 
 
-def transpose(x: Tensor) -> Tensor:
-    def backward(g):
-        x.grad += g.T
-
-    return _node(x.value.T, (x,), backward)
-
-
 def relu(x: Tensor) -> Tensor:
     mask = x.value > 0
 
@@ -132,18 +125,6 @@ def sigmoid(x: Tensor) -> Tensor:
 
     def backward(g):
         x.grad += g * out_val * (1.0 - out_val)
-
-    return _node(out_val, (x,), backward)
-
-
-def softmax_rows(x: Tensor) -> Tensor:
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    out_val = ex / ex.sum(axis=1, keepdims=True)
-
-    def backward(g):
-        dot = (g * out_val).sum(axis=1, keepdims=True)
-        x.grad += out_val * (g - dot)
 
     return _node(out_val, (x,), backward)
 
@@ -189,24 +170,6 @@ def dropout(x: Tensor, rate: float, stream, training: bool) -> Tensor:
     return _node(x.value * mask, (x,), backward)
 
 
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    def backward(g):
-        x.grad[:, start:stop] += g
-
-    return _node(x.value[:, start:stop].copy(), (x,), backward)
-
-
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    widths = [p.value.shape[1] for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(widths)])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            p.grad += g[:, lo:hi]
-
-    return _node(np.concatenate([p.value for p in parts], axis=1), tuple(parts), backward)
-
-
 def mean_all(x: Tensor) -> Tensor:
     n = x.value.size
 
@@ -220,10 +183,18 @@ def mean_all(x: Tensor) -> Tensor:
 # composites
 
 
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Max-shifted softmax over the last axis of a plain array."""
+    ex = np.exp(x - x.max(axis=-1, keepdims=True))
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) -> Tensor:
-    """Scaled dot-product attention with per-head column splits.
+    """Scaled dot-product attention over all heads as one graph node.
 
     ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0.
+    The projections are viewed as (heads, rows, e / heads) stacks; backward
+    keeps the projections and the softmax, nothing per head.
     """
     e = q.value.shape[1]
     if e % heads != 0:
@@ -234,18 +205,37 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
             f"k {k.value.shape}, v {v.value.shape}"
         )
     dh = e // heads
-    qp = matmul(q, params.wq)
-    kp = matmul(k, params.wk)
-    vp = matmul(v, params.wv)
-    head_outs = []
-    for h in range(heads):
-        lo, hi = h * dh, (h + 1) * dh
-        qh = slice_cols(qp, lo, hi)
-        kh = slice_cols(kp, lo, hi)
-        vh = slice_cols(vp, lo, hi)
-        scores = scale(matmul(qh, transpose(kh)), 1.0 / np.sqrt(dh))
-        head_outs.append(matmul(softmax_rows(scores), vh))
-    return matmul(concat_cols(head_outs), params.wo)
+
+    def split(x):  # rows x e -> heads x rows x dh
+        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+
+    def merge(x):  # heads x rows x dh -> rows x e
+        return x.transpose(1, 0, 2).reshape(x.shape[1], e)
+
+    inputs = (q, k, v)
+    weights = (params.wq, params.wk, params.wv)
+    qh, kh, vh = (split(x.value @ w.value) for x, w in zip(inputs, weights))
+    s = qh.dtype.type(1.0 / np.sqrt(dh))
+    # scaling the scores, not q, keeps the rounding of the unfused op order
+    probs = softmax((qh @ kh.transpose(0, 2, 1)) * s)
+    attended = merge(probs @ vh)
+
+    def backward(g):
+        g_att = split(g @ params.wo.value.T)
+        params.wo.grad += attended.T @ g
+        g_probs = g_att @ vh.transpose(0, 2, 1)
+        g_vh = probs.transpose(0, 2, 1) @ g_att
+        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * s
+        g_qh = g_scores @ kh
+        g_kh = (qh.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1)
+        # q, k, v in this order: they may be one tensor, and the order of
+        # accumulation fixes the rounding of its gradient
+        for x, w, gh in zip(inputs, weights, (g_qh, g_kh, g_vh)):
+            gp = merge(gh)
+            x.grad += gp @ w.value.T
+            w.grad += x.value.T @ gp
+
+    return _node(attended @ params.wo.value, (*inputs, *weights, params.wo), backward)
 
 
 def feed_forward(x: Tensor, params) -> Tensor:

@@ -64,7 +64,8 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size", "n_train", "depth", "heads"):
+        for name in ("epochs", "batch_size", "n_train", "depth", "heads", "patch_size",
+                     "base_size"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
@@ -81,6 +82,19 @@ class TrainConfig:
             raise ConfigurationError(
                 f"embed dim {self.embed_dim} not divisible by heads {self.heads}"
             )
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.alpha < 0:
+            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
+        if self.image_side % self.patch_size or self.base_size % self.patch_size:
+            raise ConfigurationError(
+                f"image side {self.image_side} and base size {self.base_size} must be "
+                f"multiples of patch size {self.patch_size}"
+            )
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigurationError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        self.asl_config()  # focusing exponents and margin
+        build_pyramid_plan(self)  # image side >= base size, pyramid_levels in range
 
     def to_dict(self) -> dict:
         return asdict(self)

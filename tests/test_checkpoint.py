@@ -1,7 +1,12 @@
+import dataclasses
+import hashlib
+import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adds.checkpoint import (
     CHECKPOINT_MAGIC,
@@ -92,4 +97,86 @@ class TestCorruption:
         path, data = self._bytes(ckpt, tmp_path)
         path.write_bytes(bytes(data) + b"\x00\x00")
         with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_meta_json_error_is_format_error(self, ckpt, tmp_path):
+        path, data = self._bytes(ckpt, tmp_path)
+        meta_at = 12 + 4 + struct.unpack_from("<I", data, 12)[0] + 32 + 4
+        data[meta_at] = ord("#")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="meta"):
+            load_checkpoint(path)
+
+    def test_non_utf8_blob_name_is_format_error(self, ckpt, tmp_path):
+        path, data = self._bytes(ckpt, tmp_path)
+        name = next(iter(ckpt.weights)).encode()
+        data[data.index(name)] = 0xFF
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_checkpoint(path)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_fails_cleanly_or_round_trips(self, ckpt, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "c.adds"
+        save_checkpoint(ckpt, path)
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for _ in range(data.draw(st.integers(1, 3), label="edits")):
+                at = data.draw(st.integers(0, len(raw) - 1), label="at")
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(raw))
+        try:
+            loaded = load_checkpoint(path)
+        except FormatError:
+            return
+        save_checkpoint(loaded, path)
+        # a float32 file whose version field now reads 1 loads as version 1
+        # and is written back as the current version
+        expected = raw[:8] + struct.pack("<I", CHECKPOINT_VERSION) + raw[12:]
+        assert path.read_bytes() == expected
+
+
+class TestVersions:
+    def test_float64_blobs_keep_every_bit(self, tmp_path):
+        ck = train(TrainConfig(**{**TINY, "dtype": "float64", "epochs": 1}))
+        save_checkpoint(ck, tmp_path / "c.adds")
+        loaded = load_checkpoint(tmp_path / "c.adds")
+        for name, arr in ck.weights.items():
+            assert loaded.weights[name].dtype == np.float64
+            np.testing.assert_array_equal(loaded.weights[name], arr)
+
+    def test_float32_blob_bytes_unchanged(self, ckpt, tmp_path):
+        save_checkpoint(ckpt, tmp_path / "c.adds")
+        data = (tmp_path / "c.adds").read_bytes()
+        for arr in ckpt.weights.values():
+            assert np.ascontiguousarray(arr, dtype="<f4").tobytes() in data
+
+    def test_version_1_reads_float32(self, ckpt, tmp_path):
+        path = tmp_path / "c.adds"
+        save_checkpoint(ckpt, path)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 1)
+        path.write_bytes(bytes(data))
+        loaded = load_checkpoint(path)
+        for name, arr in ckpt.weights.items():
+            np.testing.assert_array_equal(loaded.weights[name], arr)
+
+    @pytest.mark.parametrize("dtype", [None, "float16"])
+    def test_missing_or_unknown_dtype(self, ckpt, tmp_path, dtype):
+        config = {k: v for k, v in ckpt.config.items() if k != "dtype"}
+        if dtype is not None:
+            config["dtype"] = dtype
+        path = tmp_path / "c.adds"
+        with pytest.raises(FormatError, match="dtype"):
+            save_checkpoint(dataclasses.replace(ckpt, config=config), path)
+        save_checkpoint(ckpt, path)
+        data = path.read_bytes()
+        old_len = struct.unpack_from("<I", data, 12)[0]
+        new_json = json.dumps(config, sort_keys=True).encode()
+        path.write_bytes(data[:12] + struct.pack("<I", len(new_json)) + new_json
+                         + hashlib.sha256(new_json).digest() + data[16 + old_len + 32:])
+        with pytest.raises(FormatError, match="dtype"):
             load_checkpoint(path)

@@ -173,7 +173,11 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("line", ["batch_size = 0", "n_train = 0", "n_seen = 8",
                                       "kind = mystery", "heads = 3", "heads = 0",
-                                      "depth = 0"])
+                                      "depth = 0", "dropout = 1.0", "dropout = -0.5",
+                                      "gamma_neg = -1", "margin = 1.5", "alpha = -1",
+                                      "image_side = 16", "patch_size = 5",
+                                      "patch_size = 0",
+                                      "pyramid_levels = 7", "dtype = float16"])
     def test_invalid_config_exit_1(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CONFIG + line + "\n")

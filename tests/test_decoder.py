@@ -156,6 +156,28 @@ class TestStack:
                     if n.startswith(("block2.attn_visual.", "block2.norm.v_out."))]
 
 
+    def test_graph_nodes_per_image(self):
+        # ops per training image at depth 2 with dropout: the first block's
+        # query path 14 (2 dropouts, 3 adds, 3 layer norms, attention, ffn 5),
+        # query output 2 and visual branch 3; the last block 14 + 2; then the
+        # head 3 and the loss 1. Leaves: q0, kv and the 40 live parameters.
+        stack = make_stack(seed=5, depth=2, heads=2, dropout_rate=0.1)
+        head = init_head(SeedStreams(6).stream("head"), 4)
+        q0, kv = random_qkv(7, k=3, n=5)
+        probs = classify(stack_forward(Tensor(q0), Tensor(kv), stack, training=True,
+                                       stream=SeedStreams(8).stream("dropout")), head)
+        root = asl_loss_node(probs, np.array([1, 0, 1]), AslConfig())
+        seen, todo = {id(root): root}, [root]
+        while todo:
+            for p in todo.pop()._parents:
+                if id(p) not in seen:
+                    seen[id(p)] = p
+                    todo.append(p)
+        ops = [t for t in seen.values() if t._parents]
+        assert len(ops) == 19 + 16 + 3 + 1
+        assert len(seen) - len(ops) == 2 + len(stack.tensors()) + 2 == 42
+
+
 class TestClassifierHead:
     def test_probabilities_in_unit_interval(self):
         head = init_head(SeedStreams(1).stream("head"), 4)

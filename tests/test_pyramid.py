@@ -52,7 +52,7 @@ class TestBuildPlan:
     def test_level_selection(self):
         plan = build_plan(336, 1344, selected_levels=[0, 2])
         assert plan.tile_count() == 17
-        with pytest.raises(IndexError):
+        with pytest.raises(ConfigurationError, match="out of range"):
             build_plan(336, 1344, selected_levels=[3])
 
     def test_cls_only_flags_bottom_excluded(self):

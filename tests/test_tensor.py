@@ -6,12 +6,12 @@ from hypothesis.extra.numpy import arrays
 
 from adds.decoder import AttentionParams, FeedForwardParams
 from adds.errors import ConfigurationError, ShapeError
+from adds.optim import grad_check
 from adds.rng import SeedStreams
 from adds.tensor import (
     Tensor,
     add,
     backward,
-    concat_cols,
     dropout,
     feed_forward,
     layer_norm,
@@ -21,7 +21,7 @@ from adds.tensor import (
     multi_head_attention,
     param,
     sigmoid,
-    softmax_rows,
+    softmax,
 )
 
 
@@ -75,21 +75,21 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_equal_values_uniform(self):
-        out = softmax_rows(Tensor(np.full((2, 5), 3.7)))
-        np.testing.assert_allclose(out.value, 0.2, atol=1e-12)
+        out = softmax(np.full((2, 5), 3.7))
+        np.testing.assert_allclose(out, 0.2, atol=1e-12)
 
     def test_closed_form(self):
-        out = softmax_rows(Tensor([[0.0, np.log(3.0)]]))
-        np.testing.assert_allclose(out.value, [[0.25, 0.75]], atol=1e-12)
+        out = softmax(np.array([[0.0, np.log(3.0)]]))
+        np.testing.assert_allclose(out, [[0.25, 0.75]], atol=1e-12)
 
     def test_saturation(self):
-        out = softmax_rows(Tensor([[1e4, 0.0, 1.0]]))
-        assert abs(out.value[0, 0] - 1.0) < 1e-9
+        out = softmax(np.array([[1e4, 0.0, 1.0]]))
+        assert abs(out[0, 0] - 1.0) < 1e-9
 
     @given(finite_matrices)
     @settings(max_examples=50, deadline=None)
     def test_rows_sum_to_one(self, m):
-        out = softmax_rows(Tensor(m)).value
+        out = softmax(m)
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
@@ -177,6 +177,43 @@ class TestMultiHeadAttention:
                 identity_attention(6),
                 heads=4,
             )
+
+    def test_one_node_whose_parents_are_inputs_and_weights(self, monkeypatch):
+        g = rng(4)
+        q, k, v = (param(g.standard_normal((n, 4))) for n in (2, 3, 3))
+        p = AttentionParams(*(param(g.standard_normal((4, 4))) for _ in range(4)))
+        created = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            created.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        out = multi_head_attention(q, k, v, p, heads=2)
+        assert created == [out]
+        expected = (q, k, v, p.wq, p.wk, p.wv, p.wo)
+        assert len(out._parents) == len(expected)
+        assert all(a is b for a, b in zip(out._parents, expected))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("sharing", ["distinct", "k_is_v", "q_is_k_is_v"])
+    def test_grad_check(self, heads, sharing):
+        g = rng(11 + heads)
+        e = 8
+        q, k, v = (param(g.standard_normal((n, e))) for n in (3, 5, 5))
+        if sharing == "k_is_v":
+            v = k
+        elif sharing == "q_is_k_is_v":
+            k = v = q
+        p = AttentionParams(*(param(g.standard_normal((e, e)) * 0.5) for _ in range(4)))
+        weight = Tensor(g.standard_normal((q.shape[0], e)))
+        leaves = list({id(t): t for t in (q, k, v, *(w for _, w in p.tensors()))}.values())
+
+        def loss_fn():
+            return mean_all(mul(multi_head_attention(q, k, v, p, heads), weight))
+
+        assert grad_check(loss_fn, leaves) < 1e-6
 
 
 class TestFeedForward:
@@ -272,6 +309,6 @@ class TestBackwardContracts:
     def test_finite_outputs_after_ops(self):
         g = rng(3)
         x = Tensor(g.standard_normal((4, 6)) * 100)
-        for out in (softmax_rows(x), sigmoid(x),
-                    concat_cols([x, x])):
-            assert np.isfinite(out.value).all()
+        for out in (softmax(x.value), sigmoid(x).value,
+                    multi_head_attention(x, x, x, identity_attention(6), heads=2).value):
+            assert np.isfinite(out).all()

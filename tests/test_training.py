@@ -156,6 +156,36 @@ class TestTrain:
         for name in full.weights:
             np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
 
+    def test_float64_resume_through_file_is_bit_exact(self, tmp_path):
+        cfg = tiny_config(depth=1, dtype="float64")
+        full = train(cfg)
+        save_checkpoint(train(dataclasses.replace(cfg, epochs=1)), tmp_path / "half.adds")
+        resumed = train(cfg, resume=load_checkpoint(tmp_path / "half.adds"))
+        assert resumed.loss_history == full.loss_history
+        for name in full.weights:
+            assert resumed.weights[name].dtype == np.float64
+            np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
+            np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
+            np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
+
+    def test_selective_supervision_trains_and_resumes(self):
+        # 6 seen labels above a threshold of 4: every batch scores only its
+        # positives plus sampled negatives (batches of 8 hold every label)
+        cfg = tiny_config(selection_threshold=4, alpha=0.5, batch_size=2)
+        fresh = SeedStreams(cfg.seed)
+        fresh.stream("selection")
+        full = train(cfg)
+        assert all(np.isfinite(full.loss_history))
+        assert (full.rng["streams"]["selection"]
+                != fresh.capture()["streams"]["selection"])
+        resumed = train(cfg, resume=train(dataclasses.replace(cfg, epochs=1)))
+        assert resumed.loss_history == full.loss_history
+        assert resumed.rng == full.rng
+        for name in full.weights:
+            np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
+            np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
+            np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
+
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
         with pytest.raises(ConfigurationError):
