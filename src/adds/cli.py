@@ -84,10 +84,32 @@ def read_config_file(path) -> dict:
                 raise ConfigurationError(f"unknown config key {key!r}")
             value = value.strip()
             if key == "pyramid_levels":
-                out[key] = [int(x) for x in value.split(",") if x.strip()]
+                try:
+                    out[key] = [int(x) for x in value.split(",") if x.strip()]
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: pyramid_levels must be comma-separated "
+                        f"integers, got {value!r}") from None
             else:
                 out[key] = _parse_scalar(value)
     return out
+
+
+def _read_manifest(path, keys=()) -> tuple[dict, str]:
+    """(config, timestamp) of a run manifest; ``keys`` must be in its config."""
+    try:
+        manifest = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        manifest = {}
+    config, timestamp = manifest.get("config"), manifest.get("timestamp")
+    if not isinstance(config, dict) or not isinstance(timestamp, str):
+        raise FormatError(f"manifest {path} needs a config object and a timestamp")
+    missing = [k for k in keys if k not in config]
+    if missing:
+        raise FormatError(f"manifest {path} config lacks {', '.join(missing)}")
+    return config, timestamp
 
 
 def _read_vocab(value: str) -> list[str]:
@@ -161,9 +183,7 @@ def cmd_train(args) -> int:
     out_dir = _out_dir(args.out)
     try:
         if args.manifest:
-            manifest = json.loads(Path(args.manifest).read_text())
-            cfg_dict = manifest["config"]
-            timestamp = manifest["timestamp"]
+            cfg_dict, timestamp = _read_manifest(args.manifest)
         else:
             cfg_dict = read_config_file(args.config) if args.config else {}
             if args.seed is not None:
@@ -175,7 +195,7 @@ def cmd_train(args) -> int:
             cfg_dict = TrainConfig.from_dict(cfg_dict).to_dict()
             timestamp = _now()
         config = TrainConfig.from_dict(cfg_dict)
-    except (ConfigurationError, TypeError, FileNotFoundError) as exc:
+    except (ConfigurationError, FormatError, TypeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -208,13 +228,14 @@ def cmd_train(args) -> int:
 # eval
 
 
+_EVAL_SETTINGS = ("checkpoint", "ks", "vocab", "n_eval", "eval_seed")
+
+
 def cmd_eval(args) -> int:
     out_dir = _out_dir(args.out)
     try:
         if args.manifest:
-            manifest_in = json.loads(Path(args.manifest).read_text())
-            settings = manifest_in["config"]
-            timestamp = manifest_in["timestamp"]
+            settings, timestamp = _read_manifest(args.manifest, _EVAL_SETTINGS)
         else:
             settings = {
                 "checkpoint": args.checkpoint,

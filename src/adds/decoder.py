@@ -208,38 +208,41 @@ def init_head(stream, e, dtype=np.float64) -> ClassifierHead:
 
 
 def _check_qkv(q, k, v):
-    if not (q.shape[1] == k.shape[1] == v.shape[1]):
+    if not (q.shape[-1] == k.shape[-1] == v.shape[-1]):
         raise ShapeError(
             f"q/k/v column counts differ: {q.shape}, {k.shape}, {v.shape}"
         )
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"k/v row counts differ: {k.shape} vs {v.shape}")
+    if k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2]:
+        raise ShapeError(f"q/k/v image or k/v row counts differ: "
+                         f"{q.shape}, {k.shape}, {v.shape}")
 
 
-def _query_path(q, k, v, params, heads, training, stream):
+def _query_path(q, k, v, params, heads, noise):
     """The shared first half of both block kinds: pre-norm, cross-attention,
     feed-forward, each with residual add-and-norm. Returns the refined summary."""
     dp = params.dropout_rate
     ln = params.norms
-    q1 = layer_norm(add(q, dropout(q, dp, stream, training)),
+    u_pre, u_ffn = (None, None) if noise is None else noise
+    q1 = layer_norm(add(q, dropout(q, dp, u_pre)),
                     ln["q_pre"].gain, ln["q_pre"].bias, LAYER_NORM_EPS)
     q2 = multi_head_attention(q1, k, v, params.attn_text, heads)
     q3 = layer_norm(add(q2, q1), ln["q_attn"].gain, ln["q_attn"].bias, LAYER_NORM_EPS)
-    q4 = dropout(feed_forward(q3, params.ffn), dp, stream, training)
+    q4 = dropout(feed_forward(q3, params.ffn), dp, u_ffn)
     q5 = layer_norm(add(q4, q3), ln["q_ffn"].gain, ln["q_ffn"].bias, LAYER_NORM_EPS)
     return q5
 
 
-def dm_block_forward(q, k, v, params, heads, training=False, stream=None,
-                     refresh_kv=True):
+def dm_block_forward(q, k, v, params, heads, noise=None, refresh_kv=True):
     """One dual-modal block. Returns (q_out, k_out, v_out); k_out is v_out.
 
-    With ``refresh_kv=False`` the visual branch is skipped and k, v pass
-    through: the last block's refreshed keys/values would feed nothing.
+    ``noise`` is the pair of dropout draws for the block's two dropout sites,
+    or None for no dropout (inference). With ``refresh_kv=False`` the visual
+    branch is skipped and k, v pass through: the last block's refreshed
+    keys/values would feed nothing.
     """
     _check_qkv(q, k, v)
     ln = params.norms
-    q5 = _query_path(q, k, v, params, heads, training, stream)
+    q5 = _query_path(q, k, v, params, heads, noise)
     q_out = layer_norm(add(q5, q), ln["q_out"].gain, ln["q_out"].bias, LAYER_NORM_EPS)
     if not refresh_kv:
         return q_out, k, v
@@ -248,10 +251,10 @@ def dm_block_forward(q, k, v, params, heads, training=False, stream=None,
     return q_out, v_out, v_out
 
 
-def baseline_block_forward(q, k, v, params, heads, training=False, stream=None):
+def baseline_block_forward(q, k, v, params, heads, noise=None):
     """Single-direction block: query path only, keys/values pass through."""
     _check_qkv(q, k, v)
-    q5 = _query_path(q, k, v, params, heads, training, stream)
+    q5 = _query_path(q, k, v, params, heads, noise)
     return q5, k, v
 
 
@@ -259,25 +262,37 @@ def stack_forward(q0: Tensor, kv0: Tensor, stack: DecoderStack,
                   training=False, stream=None) -> Tensor:
     """Thread (Q, K, V) through all blocks, starting with K = V = kv0.
 
+    q0 and kv0 are one image's rows, or (batch, rows, e) stacks with one
+    entry per image. In training, each block with a dropout rate draws from
+    ``stream`` at its two sites; all draws are made at once, and
+    ``Generator.random`` fills an array in C order, so each image gets the
+    values, in the order, that one forward per image would draw.
     Only the final block's query output is returned, so the final block
     skips its visual branch.
     """
     if not stack.blocks:
         raise ConfigurationError("decoder stack is empty")
+    dropping = [training and blk.dropout_rate > 0 for blk in stack.blocks]
+    draws = iter(())
+    if any(dropping):
+        shape = (*q0.shape[:-2], 2 * sum(dropping), *q0.shape[-2:])
+        draws = iter(np.moveaxis(stream.random(shape), -3, 0))
     q, k, v = q0, kv0, kv0
     for i, blk in enumerate(stack.blocks):
+        noise = (next(draws), next(draws)) if dropping[i] else None
         if stack.kind == "dual_modal":
-            q, k, v = dm_block_forward(q, k, v, blk, stack.heads, training, stream,
+            q, k, v = dm_block_forward(q, k, v, blk, stack.heads, noise,
                                        refresh_kv=stack.runs_visual_branch(i))
         else:
-            q, k, v = baseline_block_forward(q, k, v, blk, stack.heads, training, stream)
+            q, k, v = baseline_block_forward(q, k, v, blk, stack.heads, noise)
     return q
 
 
 def classify(q_final: Tensor, head: ClassifierHead) -> Tensor:
-    """Per-label probability via the shared linear map + sigmoid; returns k x 1."""
-    if head.w.shape[0] != q_final.shape[1]:
+    """Per-label probability via the shared linear map + sigmoid; returns
+    k x 1, or batch x k x 1 for a stack."""
+    if head.w.shape[0] != q_final.shape[-1]:
         raise ShapeError(
-            f"head dim {head.w.shape[0]} != embed dim {q_final.shape[1]}"
+            f"head dim {head.w.shape[0]} != embed dim {q_final.shape[-1]}"
         )
     return sigmoid(add_rowvec(matmul(q_final, head.w), head.b))

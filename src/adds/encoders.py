@@ -97,6 +97,8 @@ class FrozenTextEncoder:
                               for k, v in class_vectors.items()}
         self.seed = seed
         self.jitter = jitter
+        self._rank = {name: i for i, name in enumerate(self.class_vectors)}
+        self._lengths = sorted({len(name) for name in self.class_vectors}, reverse=True)
 
     def _hash_vector(self, text: str) -> np.ndarray:
         digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
@@ -107,11 +109,23 @@ class FrozenTextEncoder:
         v = gen.standard_normal(self.embed_dim)
         return v / np.linalg.norm(v)
 
+    def class_name_in(self, text: str) -> str | None:
+        """The longest class name that occurs in ``text``, the first in table
+        order among names of that length; None if no name occurs.
+
+        Looks up the text's substrings of each name length, longest first,
+        so the cost grows with the text, not with the number of classes.
+        """
+        for n in self._lengths:
+            found = self._rank.keys() & {text[i:i + n] for i in range(len(text) - n + 1)}
+            if found:
+                return min(found, key=self._rank.__getitem__)
+        return None
+
     def encode_text(self, text: str) -> np.ndarray:
         """Unit-norm embedding of one string."""
-        matches = [n for n in self.class_vectors if n in text]
-        if matches:
-            name = max(matches, key=len)
+        name = self.class_name_in(text)
+        if name is not None:
             v = self.class_vectors[name] + self.jitter * self._hash_vector(text)
         else:
             v = self._hash_vector(text)
@@ -294,7 +308,12 @@ def import_embeddings(path):
         pos += 2
         if pos + label_len + 4 * e > len(data):
             raise FormatError(f"row {row}: record shorter than dim {e}")
-        label = data[pos:pos + label_len].decode("utf-8")
+        try:
+            label = data[pos:pos + label_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError(f"row {row}: label is not valid UTF-8") from None
+        if label in table:
+            raise FormatError(f"row {row}: duplicate label {label!r}")
         pos += label_len
         vec = np.frombuffer(data[pos:pos + 4 * e], dtype="<f4").copy()
         pos += 4 * e

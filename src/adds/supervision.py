@@ -97,14 +97,26 @@ def asl_loss(p, y, cfg: AslConfig):
 
 
 def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
-    """Graph form: scalar loss Tensor over a k x 1 probability column."""
-    value, grad = asl_loss(p.value, y, cfg)
-    grad_col = grad.reshape(p.value.shape).astype(p.value.dtype)
+    """Graph form: scalar loss Tensor, the mean over images of each image's
+    loss, for a k x 1 probability column or a batch x k x 1 stack (``y`` then
+    holds one label row per image).
+
+    Each image's loss is rounded to the value dtype and the images are added
+    in order before scaling by 1 / batch, as a graph that summed one loss
+    node per image rounds them.
+    """
+    dtype = p.value.dtype
+    probs = p.value.reshape(-1, *p.value.shape[-2:])
+    labels = np.reshape(y, (len(probs), -1))
+    parts = [asl_loss(pb, yb, cfg) for pb, yb in zip(probs, labels)]
+    inv_n = dtype.type(1.0 / len(parts))
+    total = np.cumsum(np.array([value for value, _ in parts], dtype=dtype))[-1]
+    grad = np.stack([g for _, g in parts]).reshape(p.value.shape).astype(dtype)
 
     def backward(g):
-        p.grad += g[0, 0] * grad_col
+        p.grad += g[0, 0] * inv_n * grad
 
-    return Tensor(np.array([[value]], dtype=p.value.dtype),
+    return Tensor(np.full((1, 1), total * inv_n, dtype=dtype),
                   _parents=(p,), _backward=backward)
 
 

@@ -1,4 +1,4 @@
-"""Dense 2-D tensors with reverse-mode gradient accumulation.
+"""Dense tensors with reverse-mode gradient accumulation.
 
 The op set is deliberately closed: matmul, elementwise add/mul, row-vector
 broadcast add, scale, relu, sigmoid, layer norm, dropout, mean reduction, and
@@ -6,8 +6,14 @@ multi-head attention, which is one node with a hand-written backward over all
 heads. The feed-forward block is composed from these primitives. Every
 gradient path is covered by finite-difference checks.
 
-All values are 2-D numpy arrays; scalars are shaped (1, 1). Tests run in
-float64, training may run in float32; ops preserve the input dtype.
+Values are one image's rows x cols array, or a (batch, rows, cols) stack of
+them; parameters are 2-D and shared by every image of a stack. Scalars are
+shaped (1, 1). A parameter's gradient adds the images' contributions one at a
+time in image order, so a stack's gradients round exactly like a graph that
+holds one subgraph per image. An op none of whose inputs needs a gradient (no
+trainable leaf upstream) returns a plain leaf, so inference keeps no graph.
+Tests run in float64, training may run in float32; ops preserve the input
+dtype.
 """
 
 import numpy as np
@@ -47,7 +53,29 @@ def param(value, name=None, trainable=True) -> Tensor:
 
 
 def _node(value, parents, backward) -> Tensor:
+    if not any(p.trainable or p._parents for p in parents):
+        return Tensor(value)
     return Tensor(value, _parents=parents, _backward=backward)
+
+
+def _image_sum(x: np.ndarray) -> np.ndarray:
+    """Sum per-image parameter gradients over the batch axis in image order.
+
+    ``cumsum`` adds strictly one image after another, as a per-image graph
+    adds each image's contribution into the gradient; ``sum`` may pair them.
+    """
+    return x if x.ndim == 2 else np.cumsum(x, axis=0)[-1]
+
+
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of ``a @ w`` w.r.t. the shared w: sum over images of a_b^T g_b."""
+    return _image_sum(np.swapaxes(a, -1, -2) @ g)
+
+
+def _column_sum(g: np.ndarray) -> np.ndarray:
+    """Gradient of a row vector added to every row: per-image column sums,
+    summed over images."""
+    return _image_sum(g.sum(axis=-2, keepdims=True))
 
 
 # ---------------------------------------------------------------------------
@@ -55,13 +83,14 @@ def _node(value, parents, backward) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.value.shape[1] != b.value.shape[0]:
+    """(..., n, k) @ (k, m); b is shared by every image of a stack."""
+    if b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
     out_val = a.value @ b.value
 
     def backward(g):
         a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
+        b.grad += _weight_grad(a.value, g)
 
     return _node(out_val, (a, b), backward)
 
@@ -89,13 +118,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
-    """x + v with v broadcast over rows; v must be 1 x cols."""
-    if v.value.shape != (1, x.value.shape[1]):
+    """x + v with v broadcast over rows (and images); v must be 1 x cols."""
+    if v.value.shape != (1, x.value.shape[-1]):
         raise ShapeError(f"add_rowvec: {x.value.shape} + {v.value.shape}")
 
     def backward(g):
         x.grad += g
-        v.grad += g.sum(axis=0, keepdims=True)
+        v.grad += _column_sum(g)
 
     return _node(x.value + v.value, (x, v), backward)
 
@@ -131,36 +160,41 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row normalization to zero mean / unit variance, then gain*x + bias."""
-    cols = x.value.shape[1]
+    cols = x.value.shape[-1]
     if gain.value.shape != (1, cols) or bias.value.shape != (1, cols):
         raise ShapeError(
             f"layer_norm: x {x.value.shape}, gain {gain.value.shape}, bias {bias.value.shape}"
         )
-    mu = x.value.mean(axis=1, keepdims=True)
-    var = ((x.value - mu) ** 2).mean(axis=1, keepdims=True)
+    mu = x.value.mean(axis=-1, keepdims=True)
+    var = ((x.value - mu) ** 2).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + x.value.dtype.type(eps))
     y0 = (x.value - mu) * inv_std
     out_val = y0 * gain.value + bias.value
 
     def backward(g):
-        gain.grad += (g * y0).sum(axis=0, keepdims=True)
-        bias.grad += g.sum(axis=0, keepdims=True)
+        gain.grad += _column_sum(g * y0)
+        bias.grad += _column_sum(g)
         dy0 = g * gain.value
-        m1 = dy0.mean(axis=1, keepdims=True)
-        m2 = (dy0 * y0).mean(axis=1, keepdims=True)
+        m1 = dy0.mean(axis=-1, keepdims=True)
+        m2 = (dy0 * y0).mean(axis=-1, keepdims=True)
         x.grad += (dy0 - m1 - y0 * m2) * inv_std
 
     return _node(out_val, (x, gain, bias), backward)
 
 
-def dropout(x: Tensor, rate: float, stream, training: bool) -> Tensor:
-    """Inverted dropout. At inference or rate 0 it returns ``x`` itself and
-    draws nothing. Same stream state => same mask."""
+def dropout(x: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
+    """Inverted dropout that keeps the entries whose uniform draw is >= rate.
+
+    ``uniforms`` holds one U[0, 1) draw per entry of ``x``; without draws
+    (inference) or at rate 0 it returns ``x`` itself. Same draws => same mask.
+    """
     if rate >= 1.0:
         raise ConfigurationError(f"dropout rate must be < 1, got {rate}")
-    if not training or rate == 0.0:
+    if uniforms is None or rate == 0.0:
         return x
-    keep = stream.random(x.value.shape) >= rate
+    if uniforms.shape != x.value.shape:
+        raise ShapeError(f"dropout: draws {uniforms.shape} for values {x.value.shape}")
+    keep = uniforms >= rate
     factor = x.value.dtype.type(1.0 / (1.0 - rate))
     mask = keep.astype(x.value.dtype) * factor
 
@@ -185,55 +219,62 @@ def mean_all(x: Tensor) -> Tensor:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis of a plain array."""
-    ex = np.exp(x - x.max(axis=-1, keepdims=True))
-    return ex / ex.sum(axis=-1, keepdims=True)
+    # in place: one batch of a large vocabulary's scores outgrows the cache,
+    # and each temporary of that size costs more than the arithmetic
+    ex = x - x.max(axis=-1, keepdims=True)
+    np.exp(ex, out=ex)
+    ex /= ex.sum(axis=-1, keepdims=True)
+    return ex
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) -> Tensor:
     """Scaled dot-product attention over all heads as one graph node.
 
     ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0.
-    The projections are viewed as (heads, rows, e / heads) stacks; backward
-    keeps the projections and the softmax, nothing per head.
+    Each image's projections are viewed as (heads, rows, e / heads) stacks;
+    backward keeps the projections and the softmax, nothing per head.
     """
-    e = q.value.shape[1]
+    e = q.value.shape[-1]
     if e % heads != 0:
         raise ConfigurationError(f"embed dim {e} not divisible by {heads} heads")
-    if k.value.shape[1] != e or v.value.shape[1] != e:
+    if k.value.shape[-1] != e or v.value.shape[-1] != e:
         raise ShapeError(
             f"attention: column counts differ, q {q.value.shape}, "
             f"k {k.value.shape}, v {v.value.shape}"
         )
     dh = e // heads
 
-    def split(x):  # rows x e -> heads x rows x dh
-        return x.reshape(x.shape[0], heads, dh).transpose(1, 0, 2)
+    def split(x):  # (..., rows, e) -> (..., heads, rows, dh)
+        return np.swapaxes(x.reshape(*x.shape[:-1], heads, dh), -2, -3)
 
-    def merge(x):  # heads x rows x dh -> rows x e
-        return x.transpose(1, 0, 2).reshape(x.shape[1], e)
+    def merge(x):  # (..., heads, rows, dh) -> (..., rows, e)
+        x = np.swapaxes(x, -2, -3)
+        return x.reshape(*x.shape[:-2], e)
 
     inputs = (q, k, v)
     weights = (params.wq, params.wk, params.wv)
     qh, kh, vh = (split(x.value @ w.value) for x, w in zip(inputs, weights))
     s = qh.dtype.type(1.0 / np.sqrt(dh))
     # scaling the scores, not q, keeps the rounding of the unfused op order
-    probs = softmax((qh @ kh.transpose(0, 2, 1)) * s)
+    scores = qh @ np.swapaxes(kh, -1, -2)
+    scores *= s
+    probs = softmax(scores)
     attended = merge(probs @ vh)
 
     def backward(g):
         g_att = split(g @ params.wo.value.T)
-        params.wo.grad += attended.T @ g
-        g_probs = g_att @ vh.transpose(0, 2, 1)
-        g_vh = probs.transpose(0, 2, 1) @ g_att
+        params.wo.grad += _weight_grad(attended, g)
+        g_probs = g_att @ np.swapaxes(vh, -1, -2)
+        g_vh = np.swapaxes(probs, -1, -2) @ g_att
         g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * s
         g_qh = g_scores @ kh
-        g_kh = (qh.transpose(0, 2, 1) @ g_scores).transpose(0, 2, 1)
+        g_kh = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)
         # q, k, v in this order: they may be one tensor, and the order of
         # accumulation fixes the rounding of its gradient
         for x, w, gh in zip(inputs, weights, (g_qh, g_kh, g_vh)):
             gp = merge(gh)
             x.grad += gp @ w.value.T
-            w.grad += x.value.T @ gp
+            w.grad += _weight_grad(x.value, gp)
 
     return _node(attended @ params.wo.value, (*inputs, *weights, params.wo), backward)
 

@@ -20,7 +20,7 @@ from .optim import AdamState, adam_step
 from .pyramid import build_plan, encode_and_stack, extract_tiles, resize_bilinear
 from .rng import SeedStreams
 from .supervision import AslConfig, asl_loss_node, cosine_baseline, select_labels
-from .tensor import Tensor, add, backward, scale
+from .tensor import Tensor, backward
 
 
 def default_lr(target_side: int) -> float:
@@ -218,7 +218,7 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     # dataset is fixed per seed; draw it before any training randomness
     data_stream = streams.stream("data")
     samples = world.sample_many(data_stream, config.n_train, class_subset=seen_idx)
-    kv_list = [encode_image(world, plan, img, dtype) for img, _ in samples]
+    kv_all = np.stack([encode_image(world, plan, img, dtype) for img, _ in samples])
     label_mat = np.stack([lab[seen_idx] for _, lab in samples])
 
     stack, head = build_model(config, streams)
@@ -260,16 +260,10 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
                 idx = sel.selected
             else:
                 idx = np.arange(k_seen)
-            q0 = Tensor(q0_all[idx])
-            loss_sum = None
-            for i in batch:
-                q_final = stack_forward(
-                    q0, Tensor(kv_list[i]), stack, training=True, stream=dropout_stream
-                )
-                probs = classify(q_final, head)
-                node = asl_loss_node(probs, label_mat[i][idx], asl_cfg)
-                loss_sum = node if loss_sum is None else add(loss_sum, node)
-            loss = scale(loss_sum, 1.0 / len(batch))
+            q0 = np.broadcast_to(q0_all[idx], (len(batch), len(idx), config.embed_dim))
+            q_final = stack_forward(Tensor(q0), Tensor(kv_all[batch]), stack,
+                                    training=True, stream=dropout_stream)
+            loss = asl_loss_node(classify(q_final, head), label_mat[batch][:, idx], asl_cfg)
             backward(loss)
             if config.lr > 0:
                 adam_step(tensors, state, config.lr, config.weight_decay)
@@ -301,7 +295,9 @@ def _load_into(ckpt: Checkpoint, params, state: AdamState, streams: SeedStreams)
 
 
 def restore_model(ckpt: Checkpoint):
-    """Rebuild world + model from a checkpoint. Returns (config, world, stack, head)."""
+    """Rebuild world + model from a checkpoint for inference. Returns
+    (config, world, stack, head); the parameters are not trainable, so a
+    forward pass builds no graph."""
     config = TrainConfig.from_dict(ckpt.config)
     world = build_world(config)
     stack, head = build_model(config, SeedStreams(config.seed))
@@ -309,6 +305,7 @@ def restore_model(ckpt: Checkpoint):
         if name not in ckpt.weights:
             raise ConfigurationError(f"checkpoint is missing parameter {name}")
         t.value = ckpt.weights[name].astype(t.value.dtype).copy()
+        t.trainable = False
     return config, world, stack, head
 
 
@@ -329,16 +326,19 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
             raise ValueError(f"label {name!r} is not a class of this world")
     vocab_idx = np.array([world.class_names.index(n) for n in vocab])
     dtype = config.np_dtype
-    q0 = Tensor(label_queries(world, vocab, dtype))
+    q0 = label_queries(world, vocab, dtype)
 
     stream = SeedStreams(eval_seed).stream("eval_data")
     samples = world.sample_many(stream, n_eval, class_subset=class_subset)
     rows = []
-    for img, _ in samples:
-        kv = Tensor(encode_image(world, plan, img, dtype))
-        rows.append(classify(stack_forward(q0, kv, stack), head).value.reshape(-1))
+    for lo in range(0, len(samples), config.batch_size):
+        kv = np.stack([encode_image(world, plan, img, dtype)
+                       for img, _ in samples[lo : lo + config.batch_size]])
+        q = np.broadcast_to(q0, (len(kv), *q0.shape))
+        probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
+        rows.append(probs.value[..., 0])
     labels = np.stack([lab[vocab_idx] for _, lab in samples])
-    return np.stack(rows), labels, list(vocab)
+    return np.concatenate(rows), labels, list(vocab)
 
 
 def cosine_baseline_scores(world, images, vocab) -> np.ndarray:

@@ -177,7 +177,8 @@ class TestTrainEval:
                                       "gamma_neg = -1", "margin = 1.5", "alpha = -1",
                                       "image_side = 16", "patch_size = 5",
                                       "patch_size = 0",
-                                      "pyramid_levels = 7", "dtype = float16"])
+                                      "pyramid_levels = 7", "pyramid_levels = x",
+                                      "dtype = float16"])
     def test_invalid_config_exit_1(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CONFIG + line + "\n")
@@ -186,6 +187,26 @@ class TestTrainEval:
         assert code == 1
         assert err.startswith("error:")
         assert not (tmp_path / "checkpoint.adds").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("defect", ["truncated", "no_timestamp", "not_object"])
+    def test_bad_manifest_exit_1(self, capsys, tmp_path, config_file, command, defect):
+        assert run(capsys, "train", "--config", str(config_file),
+                   "--out", str(tmp_path))[0] == 0
+        if command == "eval":
+            assert run(capsys, "eval", "--checkpoint", str(tmp_path / "checkpoint.adds"),
+                       "--n-eval", "4", "--out", str(tmp_path))[0] == 0
+        text = (tmp_path / "run_manifest.json").read_text()
+        manifest = json.loads(text)
+        path = tmp_path / "bad_manifest.json"
+        path.write_text({"truncated": text[: len(text) // 2],
+                         "no_timestamp": json.dumps({"config": manifest["config"]}),
+                         "not_object": json.dumps([manifest])}[defect])
+        code, _, err = run(capsys, command, "--manifest", str(path),
+                           "--out", str(tmp_path / "rerun"))
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "rerun" / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_eval_k_below_one_exit_1(self, capsys, tmp_path, config_file, k):

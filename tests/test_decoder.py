@@ -13,8 +13,8 @@ from adds.decoder import (
 )
 from adds.errors import ConfigurationError, ShapeError
 from adds.rng import SeedStreams
-from adds.supervision import AslConfig, asl_loss_node
-from adds.tensor import Tensor, backward
+from adds.supervision import AslConfig, asl_loss_node, select_labels
+from adds.tensor import Tensor, add, backward, scale
 
 
 def make_stack(seed=0, **kw):
@@ -156,26 +156,128 @@ class TestStack:
                     if n.startswith(("block2.attn_visual.", "block2.norm.v_out."))]
 
 
-    def test_graph_nodes_per_image(self):
-        # ops per training image at depth 2 with dropout: the first block's
-        # query path 14 (2 dropouts, 3 adds, 3 layer norms, attention, ffn 5),
-        # query output 2 and visual branch 3; the last block 14 + 2; then the
-        # head 3 and the loss 1. Leaves: q0, kv and the 40 live parameters.
-        stack = make_stack(seed=5, depth=2, heads=2, dropout_rate=0.1)
-        head = init_head(SeedStreams(6).stream("head"), 4)
-        q0, kv = random_qkv(7, k=3, n=5)
-        probs = classify(stack_forward(Tensor(q0), Tensor(kv), stack, training=True,
-                                       stream=SeedStreams(8).stream("dropout")), head)
-        root = asl_loss_node(probs, np.array([1, 0, 1]), AslConfig())
+    @staticmethod
+    def _reachable(root):
         seen, todo = {id(root): root}, [root]
         while todo:
             for p in todo.pop()._parents:
                 if id(p) not in seen:
                     seen[id(p)] = p
                     todo.append(p)
-        ops = [t for t in seen.values() if t._parents]
-        assert len(ops) == 19 + 16 + 3 + 1
-        assert len(seen) - len(ops) == 2 + len(stack.tensors()) + 2 == 42
+        return list(seen.values())
+
+    def _training_graph(self, batch):
+        stack = make_stack(seed=5, depth=2, heads=2, dropout_rate=0.1)
+        head = init_head(SeedStreams(6).stream("head"), 4)
+        q0, kv = random_qkv(7, k=3, n=5)
+        y = np.array([1, 0, 1])
+        if batch:
+            q0 = np.broadcast_to(q0, (batch, 3, 4))
+            kv = np.stack([kv * (b + 1) for b in range(batch)])
+            y = np.tile(y, (batch, 1))
+        probs = classify(stack_forward(Tensor(q0), Tensor(kv), stack, training=True,
+                                       stream=SeedStreams(8).stream("dropout")), head)
+        return stack, self._reachable(asl_loss_node(probs, y, AslConfig()))
+
+    def test_graph_nodes_per_image(self):
+        # ops per training image at depth 2 with dropout: the first block's
+        # query path 12 (3 layer norms, attention, 2 adds, ffn 5, dropout; the
+        # dropout of q0 and its residual add see no trainable input, so they
+        # are plain leaves), query output 2 and visual branch 3; the last
+        # block 14 + 2; then the head 3 and the loss 1. Leaves: q0, kv, that
+        # residual sum and the 40 live parameters.
+        stack, seen = self._training_graph(batch=None)
+        ops = [t for t in seen if t._parents]
+        assert len(ops) == 17 + 16 + 3 + 1
+        assert len(seen) - len(ops) == 3 + len(stack.tensors()) + 2 == 43
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    def test_graph_nodes_per_step_do_not_depend_on_batch(self, batch):
+        _, one = self._training_graph(batch=None)
+        stack, seen = self._training_graph(batch)
+        assert len(seen) == len(one)
+        assert all(t.value.shape[0] == batch for t in seen
+                   if t._parents and t.value.ndim == 3)
+
+    def test_inference_builds_no_graph(self):
+        stack = make_stack(seed=5, depth=2, heads=2)
+        head = init_head(SeedStreams(6).stream("head"), 4)
+        for _, t in stack.tensors() + head.tensors():
+            t.trainable = False
+        q0, kv = random_qkv(7, k=3, n=5)
+        probs = classify(stack_forward(Tensor(q0), Tensor(kv), stack), head)
+        assert probs._parents == () and probs._backward is None
+
+
+class TestBatchAxis:
+    """One graph over a (B, rows, e) stack against one subgraph per image,
+    summed and scaled as a per-image training step did it."""
+
+    def _model(self, kind, dtype):
+        stack = init_stack(SeedStreams(21).stream("init"), depth=3, embed_dim=8, heads=2,
+                           kind=kind, dropout_rate=0.1, dtype=dtype)
+        head = init_head(SeedStreams(22).stream("head"), 8, dtype=dtype)
+        return stack, head, [t for _, t in stack.tensors() + head.tensors()]
+
+    def _step(self, params, make_loss):
+        for t in params:
+            t.grad = None
+        stream = SeedStreams(23).stream("dropout")
+        loss = make_loss(stream)
+        backward(loss)
+        return (loss.value.copy(), [t.grad.copy() for t in params],
+                stream.bit_generator.state)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["dual_modal", "baseline"])
+    @pytest.mark.parametrize("select", [False, True])
+    def test_stack_matches_one_graph_per_image(self, batch, dtype, kind, select):
+        stack, head, params = self._model(kind, dtype)
+        g = SeedStreams(24).stream("data")
+        q0 = g.standard_normal((12, 8)).astype(dtype)
+        kv = g.standard_normal((batch, 7, 8)).astype(dtype)
+        y = np.zeros((batch, 12), dtype=int)
+        y[np.arange(batch), 3 * np.arange(batch) % 7] = 1
+        idx = np.arange(12)
+        if select:
+            idx = select_labels(y, 0.5, SeedStreams(25).stream("selection")).selected
+            assert 0 < len(idx) < 12
+        q0, y = q0[idx], y[:, idx]
+        cfg = AslConfig()
+
+        def per_image(stream):
+            total = None
+            for b in range(batch):
+                q = stack_forward(Tensor(q0), Tensor(kv[b]), stack, training=True,
+                                  stream=stream)
+                node = asl_loss_node(classify(q, head), y[b], cfg)
+                total = node if total is None else add(total, node)
+            return scale(total, 1.0 / batch)
+
+        def stacked(stream):
+            q = stack_forward(Tensor(np.broadcast_to(q0, (batch, *q0.shape))), Tensor(kv),
+                              stack, training=True, stream=stream)
+            return asl_loss_node(classify(q, head), y, cfg)
+
+        loss_a, grads_a, state_a = self._step(params, per_image)
+        loss_b, grads_b, state_b = self._step(params, stacked)
+        assert loss_a.dtype == loss_b.dtype == dtype
+        np.testing.assert_array_equal(loss_a, loss_b)
+        for ga, gb in zip(grads_a, grads_b):
+            assert ga.dtype == gb.dtype == dtype
+            np.testing.assert_array_equal(ga, gb)
+        np.testing.assert_equal(state_a, state_b)
+
+
+    def test_rate_zero_draws_nothing(self):
+        stack = make_stack(seed=5, depth=2, dropout_rate=0.0)
+        q0, kv = random_qkv(7, k=3, n=5)
+        stream = SeedStreams(8).stream("dropout")
+        before = stream.bit_generator.state
+        stack_forward(Tensor(np.broadcast_to(q0, (2, 3, 4))), Tensor(np.stack([kv, kv])),
+                      stack, training=True, stream=stream)
+        np.testing.assert_equal(stream.bit_generator.state, before)
 
 
 class TestClassifierHead:

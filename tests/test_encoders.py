@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adds.encoders import (
     DEFAULT_PROMPTS,
@@ -111,6 +113,31 @@ class TestFrozenTextEncoder:
         b = enc.encode_text("image of boka")
         assert not np.array_equal(a, b)
         assert a @ b > 0.99
+
+    # names that nest in one another, and equal-length names in both orders
+    NESTED = ("bc", "abcd", "ab", "cd", "abc", "bcd", "da", "a")
+
+    @staticmethod
+    def _scan(names, text):
+        """Every name checked against the text; the longest wins, the first
+        in table order among equal lengths."""
+        matches = [n for n in names if n in text]
+        return max(matches, key=len) if matches else None
+
+    @given(st.text(alphabet="abcdx ", max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_lookup_agrees_with_scan(self, text):
+        table = {n: np.ones(2) for n in self.NESTED}
+        enc = FrozenTextEncoder(2, table)
+        assert enc.class_name_in(text) == self._scan(self.NESTED, text)
+
+    @pytest.mark.parametrize("text, name", [("xx abcd", "abcd"), ("bcd ab", "bcd"),
+                                            ("cd ab", "ab"), ("da bc", "bc"),
+                                            ("da cd", "cd"), ("xa", "a"), ("", None),
+                                            ("xyz", None)])
+    def test_lookup_cases(self, text, name):
+        enc = FrozenTextEncoder(2, {n: np.ones(2) for n in self.NESTED})
+        assert enc.class_name_in(text) == name == self._scan(self.NESTED, text)
 
 
 class TestEmbedLabel:
@@ -249,6 +276,41 @@ class TestEmbeddingFile:
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(FormatError, match="trailing"):
             import_embeddings(path)
+
+    def test_non_utf8_label_is_format_error(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        export_embeddings(path, {"ab": np.zeros(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"ab", b"\xffb"))
+        with pytest.raises(FormatError, match="UTF-8"):
+            import_embeddings(path)
+
+    def test_duplicate_label_is_format_error(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        export_embeddings(path, {"ab": np.zeros(2, dtype=np.float32),
+                                 "cd": np.ones(2, dtype=np.float32)})
+        path.write_bytes(path.read_bytes().replace(b"cd", b"ab"))
+        with pytest.raises(FormatError, match="duplicate"):
+            import_embeddings(path)
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_fuzzed_file_fails_cleanly_or_round_trips(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("fuzz") / "emb.bin"
+        export_embeddings(path, self._table())
+        raw = bytearray(path.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            for _ in range(data.draw(st.integers(1, 3), label="edits")):
+                at = data.draw(st.integers(0, len(raw) - 1), label="at")
+                raw[at] = data.draw(st.integers(0, 255), label="byte")
+        path.write_bytes(bytes(raw))
+        try:
+            table, _ = import_embeddings(path)
+        except FormatError:
+            return
+        export_embeddings(path, table)
+        assert path.read_bytes() == bytes(raw)
 
     def test_mixed_dims_rejected(self, tmp_path):
         with pytest.raises(FormatError):

@@ -11,6 +11,7 @@ from adds.rng import SeedStreams
 from adds.tensor import (
     Tensor,
     add,
+    add_rowvec,
     backward,
     dropout,
     feed_forward,
@@ -216,6 +217,40 @@ class TestMultiHeadAttention:
         assert grad_check(loss_fn, leaves) < 1e-6
 
 
+class TestBatchAxisGradients:
+    """Finite-difference checks with (batch, rows, cols) inputs and shared
+    2-D parameters."""
+
+    def _check(self, build, *leaves):
+        weight = Tensor(rng(99).standard_normal(build().value.shape))
+        return grad_check(lambda: mean_all(mul(build(), weight)), list(leaves))
+
+    def test_matmul(self):
+        g = rng(31)
+        x, w = param(g.standard_normal((3, 4, 5))), param(g.standard_normal((5, 2)))
+        assert self._check(lambda: matmul(x, w), x, w) < 1e-6
+
+    def test_add_rowvec(self):
+        g = rng(32)
+        x, v = param(g.standard_normal((3, 4, 5))), param(g.standard_normal((1, 5)))
+        assert self._check(lambda: add_rowvec(x, v), x, v) < 1e-6
+
+    def test_layer_norm(self):
+        g = rng(33)
+        x = param(g.standard_normal((3, 4, 5)))
+        gain, bias = param(g.standard_normal((1, 5))), param(g.standard_normal((1, 5)))
+        assert self._check(lambda: layer_norm(x, gain, bias), x, gain, bias) < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention(self, heads):
+        g = rng(34 + heads)
+        q, kv = param(g.standard_normal((3, 4, 8))), param(g.standard_normal((3, 6, 8)))
+        p = AttentionParams(*(param(g.standard_normal((8, 8)) * 0.5) for _ in range(4)))
+        err = self._check(lambda: multi_head_attention(q, kv, kv, p, heads),
+                          q, kv, *(w for _, w in p.tensors()))
+        assert err < 1e-6
+
+
 class TestFeedForward:
     def _params(self, g, e, h):
         return FeedForwardParams(
@@ -265,30 +300,30 @@ class TestFeedForward:
 class TestDropout:
     def test_rate_zero_identity(self):
         x = rng(0).standard_normal((4, 4))
-        out = dropout(Tensor(x), 0.0, rng(1), training=True)
+        out = dropout(Tensor(x), 0.0, rng(1).random(x.shape))
         np.testing.assert_array_equal(out.value, x)
 
     def test_inference_identity(self):
         x = rng(0).standard_normal((4, 4))
-        out = dropout(Tensor(x), 0.9, rng(1), training=False)
+        out = dropout(Tensor(x), 0.9, None)
         np.testing.assert_array_equal(out.value, x)
 
     def test_survivor_fraction_and_mean(self):
         x = np.ones((400, 250))
-        out = dropout(Tensor(x), 0.5, rng(2), training=True).value
+        out = dropout(Tensor(x), 0.5, rng(2).random(x.shape)).value
         survivors = np.count_nonzero(out) / out.size
         assert abs(survivors - 0.5) < 0.01
         assert abs(out.mean() - 1.0) < 0.02
 
     def test_same_stream_state_same_mask(self):
         x = rng(0).standard_normal((8, 8))
-        a = dropout(Tensor(x), 0.3, rng(5), training=True).value
-        b = dropout(Tensor(x), 0.3, rng(5), training=True).value
+        a = dropout(Tensor(x), 0.3, rng(5).random(x.shape)).value
+        b = dropout(Tensor(x), 0.3, rng(5).random(x.shape)).value
         np.testing.assert_array_equal(a, b)
 
     def test_rate_one_rejected(self):
         with pytest.raises(ConfigurationError):
-            dropout(Tensor(np.zeros((2, 2))), 1.0, rng(0), training=True)
+            dropout(Tensor(np.zeros((2, 2))), 1.0, rng(0).random((2, 2)))
 
 
 class TestBackwardContracts:

@@ -186,6 +186,17 @@ class TestTrain:
             np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
             np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
 
+    @pytest.mark.parametrize("overrides, history", [
+        ({}, [0.5170710881551107, 0.35675496856371564]),
+        ({"kind": "baseline", "dtype": "float64", "batch_size": 5},
+         [0.4143598254226576, 0.27136226830610183]),
+        ({"selection_threshold": 4, "alpha": 0.5, "batch_size": 3, "heads": 4},
+         [0.42107078805565834, 0.2913912422955036]),
+    ])
+    def test_loss_history_is_pinned(self, overrides, history):
+        # exact floats of the engine that built one graph per image
+        assert train(tiny_config(**overrides)).loss_history == history
+
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
         with pytest.raises(ConfigurationError):
