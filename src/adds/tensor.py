@@ -52,8 +52,12 @@ def param(value, name=None, trainable=True) -> Tensor:
     return Tensor(np.array(value), trainable=trainable, name=name)
 
 
+def _needs_grad(parents) -> bool:
+    return any(p.trainable or p._parents for p in parents)
+
+
 def _node(value, parents, backward) -> Tensor:
-    if not any(p.trainable or p._parents for p in parents):
+    if not _needs_grad(parents):
         return Tensor(value)
     return Tensor(value, _parents=parents, _backward=backward)
 
@@ -227,12 +231,32 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return ex
 
 
+# Bytes of attention scores computed at once. One image of a 600-label
+# vocabulary (2 heads x 600 x 85 float32 scores) fits; a batch of them
+# outgrows the core's cache, and its speed then varies with what the cache
+# holds, not only with the arithmetic.
+SCORE_CHUNK_BYTES = 1 << 19
+
+
+def _image_chunks(qh: np.ndarray, kh: np.ndarray) -> list:
+    """Slices of the batch axis whose score arrays fit in SCORE_CHUNK_BYTES.
+
+    An image's scores depend on that image alone, so chunking changes no result.
+    """
+    if qh.ndim < 4:
+        return [slice(None)]
+    per_image = qh.shape[-3] * qh.shape[-2] * kh.shape[-2] * qh.itemsize
+    step = max(1, SCORE_CHUNK_BYTES // per_image)
+    return [slice(lo, lo + step) for lo in range(0, qh.shape[0], step)]
+
+
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) -> Tensor:
     """Scaled dot-product attention over all heads as one graph node.
 
     ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0.
     Each image's projections are viewed as (heads, rows, e / heads) stacks;
-    backward keeps the projections and the softmax, nothing per head.
+    backward keeps the projections and the softmax, nothing per head. The
+    scores of a stack are computed a few images at a time (_image_chunks).
     """
     e = q.value.shape[-1]
     if e % heads != 0:
@@ -241,6 +265,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
         raise ShapeError(
             f"attention: column counts differ, q {q.value.shape}, "
             f"k {k.value.shape}, v {v.value.shape}"
+        )
+    if not q.value.ndim == k.value.ndim == v.value.ndim:
+        raise ShapeError(
+            f"attention: q {q.value.shape}, k {k.value.shape} and v {v.value.shape} "
+            "must all be one image or all stacks"
         )
     dh = e // heads
 
@@ -253,22 +282,36 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
 
     inputs = (q, k, v)
     weights = (params.wq, params.wk, params.wv)
+    parents = (*inputs, *weights, params.wo)
     qh, kh, vh = (split(x.value @ w.value) for x, w in zip(inputs, weights))
     s = qh.dtype.type(1.0 / np.sqrt(dh))
-    # scaling the scores, not q, keeps the rounding of the unfused op order
-    scores = qh @ np.swapaxes(kh, -1, -2)
-    scores *= s
-    probs = softmax(scores)
-    attended = merge(probs @ vh)
+    chunks = _image_chunks(qh, kh)
+    heads_out = np.empty(qh.shape, qh.dtype)
+    probs = np.empty((*qh.shape[:-1], kh.shape[-2]), qh.dtype) if _needs_grad(parents) else None
+    for c in chunks:
+        # scaling the scores, not q, keeps the rounding of the unfused op order
+        scores = qh[c] @ np.swapaxes(kh[c], -1, -2)
+        scores *= s
+        p = softmax(scores)
+        heads_out[c] = p @ vh[c]
+        if probs is not None:
+            probs[c] = p
+    attended = merge(heads_out)
 
     def backward(g):
         g_att = split(g @ params.wo.value.T)
         params.wo.grad += _weight_grad(attended, g)
-        g_probs = g_att @ np.swapaxes(vh, -1, -2)
-        g_vh = np.swapaxes(probs, -1, -2) @ g_att
-        g_scores = probs * (g_probs - (g_probs * probs).sum(axis=-1, keepdims=True)) * s
-        g_qh = g_scores @ kh
-        g_kh = np.swapaxes(np.swapaxes(qh, -1, -2) @ g_scores, -1, -2)
+        g_qh = np.empty(qh.shape, qh.dtype)
+        g_kh_t = np.empty((*kh.shape[:-2], dh, kh.shape[-2]), kh.dtype)
+        g_vh = np.empty(vh.shape, vh.dtype)
+        for c in chunks:
+            p = probs[c]
+            g_probs = g_att[c] @ np.swapaxes(vh[c], -1, -2)
+            g_vh[c] = np.swapaxes(p, -1, -2) @ g_att[c]
+            g_scores = p * (g_probs - (g_probs * p).sum(axis=-1, keepdims=True)) * s
+            g_qh[c] = g_scores @ kh[c]
+            g_kh_t[c] = np.swapaxes(qh[c], -1, -2) @ g_scores
+        g_kh = np.swapaxes(g_kh_t, -1, -2)
         # q, k, v in this order: they may be one tensor, and the order of
         # accumulation fixes the rounding of its gradient
         for x, w, gh in zip(inputs, weights, (g_qh, g_kh, g_vh)):
@@ -276,7 +319,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
             x.grad += gp @ w.value.T
             w.grad += _weight_grad(x.value, gp)
 
-    return _node(attended @ params.wo.value, (*inputs, *weights, params.wo), backward)
+    return _node(attended @ params.wo.value, parents, backward)
 
 
 def feed_forward(x: Tensor, params) -> Tensor:

@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 from adds.decoder import AttentionParams, FeedForwardParams
 from adds.errors import ConfigurationError, ShapeError
 from adds.optim import grad_check
+from adds import tensor
 from adds.rng import SeedStreams
 from adds.tensor import (
     Tensor,
@@ -215,6 +216,33 @@ class TestMultiHeadAttention:
             return mean_all(mul(multi_head_attention(q, k, v, p, heads), weight))
 
         assert grad_check(loss_fn, leaves) < 1e-6
+
+    def test_mixed_stack_and_image_rejected(self):
+        g = rng(6)
+        p = AttentionParams(*(param(g.standard_normal((4, 4))) for _ in range(4)))
+        q, kv = Tensor(g.standard_normal((2, 3, 4))), Tensor(g.standard_normal((5, 4)))
+        with pytest.raises(ShapeError):
+            multi_head_attention(q, kv, kv, p, heads=2)
+
+    # 2 heads x 4 x 6 float64 scores are 384 bytes per image: one image per
+    # chunk, then chunks of 2, 2 and 1 images
+    @pytest.mark.parametrize("chunk_bytes", [1, 768])
+    def test_score_chunks_change_no_bit(self, monkeypatch, chunk_bytes):
+        g = rng(40)
+        q, kv = param(g.standard_normal((5, 4, 8))), param(g.standard_normal((5, 6, 8)))
+        p = AttentionParams(*(param(g.standard_normal((8, 8)) * 0.5) for _ in range(4)))
+        weight = Tensor(g.standard_normal((5, 4, 8)))
+        leaves = (q, kv, *(w for _, w in p.tensors()))
+
+        def run():
+            out = multi_head_attention(q, kv, kv, p, heads=2)
+            backward(mean_all(mul(out, weight)))
+            return [out.value, *(t.grad for t in leaves)]
+
+        whole = run()
+        monkeypatch.setattr(tensor, "SCORE_CHUNK_BYTES", chunk_bytes)
+        chunked = run()
+        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
 
 class TestBatchAxisGradients:
