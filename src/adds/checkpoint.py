@@ -17,7 +17,7 @@ so a float64 run resumes from a file bit-exactly; version 1 always stored
 float32 and still loads. Weight tensors are stored under their parameter
 names, then the Adam moments under "opt.m.<name>" and "opt.v.<name>" in the
 same order. Save -> load -> save is byte-identical; anything else raises
-``FormatError``.
+``FormatError``. A save replaces the file whole (``atomic_open``).
 """
 
 import hashlib
@@ -26,6 +26,7 @@ import struct
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import FormatError
 from .training import Checkpoint
 
@@ -75,7 +76,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     dtype = _blob_dtype(ckpt.config)
     for name, arr in blobs:
         _write_blob(parts, name, arr, dtype)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 

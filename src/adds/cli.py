@@ -2,6 +2,7 @@
 
 Every run writes a manifest (resolved settings, seeds, artifact paths) next to
 its outputs; rerunning with ``--manifest`` reproduces the outputs bit-exactly.
+Each artifact is replaced whole (``atomic_open``), never left half written.
 Exit codes: 0 success, 1 validation/check failure, 2 usage error.
 """
 
@@ -17,8 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .decoder import classify, init_head, init_stack, stack_forward
-from .errors import ConfigurationError, FormatError, ShapeError
+from .errors import ConfigurationError, FormatError, NumericError, ShapeError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import metrics_report
 from .optim import grad_check
@@ -50,7 +52,7 @@ def _now() -> str:
 
 def _write_manifest(out_dir: Path, manifest: dict) -> Path:
     path = out_dir / "run_manifest.json"
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
@@ -213,9 +215,13 @@ def cmd_train(args) -> int:
             "loss_log": str(loss_path),
         },
     }
-    ckpt = train(config)
+    try:
+        ckpt = train(config)
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     save_checkpoint(ckpt, ckpt_path)
-    with open(loss_path, "w") as fh:
+    with atomic_open(loss_path) as fh:
         for epoch, loss in enumerate(ckpt.loss_history):
             fh.write(f"epoch {epoch} loss {loss:.10f}\n")
     _write_manifest(out_dir, manifest)
@@ -270,7 +276,7 @@ def cmd_eval(args) -> int:
         record[f"f1@{k}"] = round(report.f1_at[k], 6)
     record["timestamp"] = timestamp
     metrics_path = out_dir / "metrics.jsonl"
-    with open(metrics_path, "w") as fh:
+    with atomic_open(metrics_path) as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
     _write_manifest(out_dir, {
         "tool_version": __version__,

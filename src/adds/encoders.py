@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigurationError, FormatError, ShapeError
 from .rng import SeedStreams
 
@@ -64,22 +65,28 @@ class FrozenImageEncoder:
         h.update(self.mix.tobytes())
         return h.hexdigest()
 
-    def encode_tile(self, tile: np.ndarray) -> np.ndarray:
-        """Tokens for one base-sized tile: row 0 is CLS, rows 1..p are patches."""
-        if tile.shape[:2] != (self.base_size, self.base_size):
+    def encode_tiles(self, tiles: np.ndarray) -> np.ndarray:
+        """Tokens for a (T, base, base) stack of tiles, (T, 1 + p, e): row 0 of
+        each tile is CLS, rows 1..p are patches. A tile's tokens are the same
+        bits in any stack, a stack of one included."""
+        if tiles.ndim != 3 or tiles.shape[1:] != (self.base_size, self.base_size):
             raise ShapeError(
-                f"tile shape {tile.shape[:2]} != ({self.base_size}, {self.base_size})"
+                f"tiles shape {tiles.shape} != (T, {self.base_size}, {self.base_size})"
             )
-        p = self.patch_size
+        p, t = self.patch_size, len(tiles)
         patches = (
-            tile.astype(self.dtype)
-            .reshape(self.grid, p, self.grid, p)
-            .transpose(0, 2, 1, 3)
-            .reshape(self.n_patches, p * p)
+            tiles.astype(self.dtype, copy=False)
+            .reshape(t, self.grid, p, self.grid, p)
+            .transpose(0, 1, 3, 2, 4)
+            .reshape(t, self.n_patches, p * p)
         )
         tokens = self.mix @ (patches @ self.proj)
-        cls = tokens.mean(axis=0, keepdims=True)
-        return np.concatenate([cls, tokens], axis=0)
+        cls = tokens.mean(axis=1, keepdims=True)
+        return np.concatenate([cls, tokens], axis=1)
+
+    def encode_tile(self, tile: np.ndarray) -> np.ndarray:
+        """Tokens for one base-sized tile: row 0 is CLS, rows 1..p are patches."""
+        return self.encode_tiles(tile[None])[0]
 
 
 class FrozenTextEncoder:
@@ -99,14 +106,30 @@ class FrozenTextEncoder:
         self.jitter = jitter
         self._rank = {name: i for i, name in enumerate(self.class_vectors)}
         self._lengths = sorted({len(name) for name in self.class_vectors}, reverse=True)
+        self._philox = np.random.Philox(0)  # re-keyed by every _hash_vector call
+        self._gen = np.random.Generator(self._philox)
 
     def _hash_vector(self, text: str) -> np.ndarray:
+        """Unit normal draw from a Philox stream keyed by the string's digest.
+
+        One generator is re-keyed per string, to the state that
+        ``Philox(key=words)`` starts in; it converts ``words`` the same way.
+        So one encoder must not be shared between threads.
+        A word >= 2**63 beside a smaller one makes ``np.asarray`` pick
+        float64, which rounds the key; every text embedding depends on it.
+        """
         digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
-        gen = np.random.Generator(
-            np.random.Philox(key=[int.from_bytes(digest[i:i + 8], "little")
-                                  for i in range(0, 16, 8)])
-        )
-        v = gen.standard_normal(self.embed_dim)
+        words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 16, 8)]
+        self._philox.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64),
+                      "key": np.asarray(words).astype(np.uint64)},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        v = self._gen.standard_normal(self.embed_dim)
         return v / np.linalg.norm(v)
 
     def class_name_in(self, text: str) -> str | None:
@@ -149,6 +172,8 @@ def embed_label(class_name: str, templates, encoder: FrozenTextEncoder) -> np.nd
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 _SYLLABLES = [c + v for c in _CONSONANTS for v in _VOWELS]
+
+SIGNATURE_CHUNK = 64  # signature tiles per encode_tiles call
 
 
 def _make_names(k: int) -> list[str]:
@@ -249,16 +274,18 @@ def make_synthetic_world(
             for x in range(0, image_side, patch_size)
         ],
     )
+    # a chunk at a time bounds the intermediates of a large vocabulary
+    cls_rows = []
+    for lo in range(0, k, SIGNATURE_CHUNK):
+        tiles = [world.signature_tile(i) for i in range(lo, min(lo + SIGNATURE_CHUNK, k))]
+        cls_rows.extend(encoder.encode_tiles(np.stack(tiles))[:, 0])
     table = {}
-    responses = []
-    for i, name in enumerate(names):
-        cls = encoder.encode_tile(world.signature_tile(i))[0]
+    for name, cls in zip(names, cls_rows):
         norm = np.linalg.norm(cls)
         if norm == 0:
             raise ConfigurationError(f"class {name} has a zero signature response")
         table[name] = cls / norm
-        responses.append(table[name])
-    responses = np.stack(responses)
+    responses = np.stack(list(table.values()))
     cos = responses @ responses.T
     np.fill_diagonal(cos, 0.0)
     if cos.max() > 0.95:
@@ -275,12 +302,13 @@ def make_synthetic_world(
 
 
 def export_embeddings(path, table: dict[str, np.ndarray]) -> None:
-    """Write a label -> vector table; see import_embeddings for the layout."""
+    """Write a label -> vector table, replacing ``path`` whole; see
+    import_embeddings for the layout."""
     dims = {len(np.asarray(v).reshape(-1)) for v in table.values()}
     if len(dims) > 1:
         raise FormatError(f"vectors have mixed dimensions: {sorted(dims)}")
     e = dims.pop() if dims else 0
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<II", len(table), e))
         for label, vec in table.items():

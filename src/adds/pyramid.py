@@ -153,38 +153,44 @@ def resize_bilinear(image: np.ndarray, new_side: int) -> np.ndarray:
     return cols.astype(image.dtype) if np.issubdtype(image.dtype, np.floating) else cols
 
 
-def extract_tiles(image: np.ndarray, plan: PyramidPlan) -> list[np.ndarray]:
-    """Resize per selected level, crop each tile; level-major, row-major order."""
+def extract_tiles(image: np.ndarray, plan: PyramidPlan) -> np.ndarray:
+    """Resize per selected level and crop every tile into one (T, base, base)
+    array, (T, base, base, C) for a channel image; level-major, row-major order."""
     if image.shape[0] != plan.target_side or image.shape[1] != plan.target_side:
         raise ShapeError(
             f"image side {image.shape[:2]} != plan target {plan.target_side}"
         )
-    out = []
+    b = plan.base_size
+    floating = np.issubdtype(image.dtype, np.floating)
+    out = np.empty((plan.tile_count(), b, b, *image.shape[2:]),
+                   image.dtype if floating else np.float64)
+    # crops go straight into one array: an array per level and their
+    # concatenation took longer than the copies
+    start = 0
     for lv in plan.selected_levels():
         resized = resize_bilinear(image, lv.resized_side)
-        for t in lv.tiles:
-            out.append(resized[t.y : t.y + t.side, t.x : t.x + t.side].copy())
+        np.stack([resized[t.y : t.y + b, t.x : t.x + b] for t in lv.tiles],
+                 out=out[start : start + len(lv.tiles)])
+        start += len(lv.tiles)
     return out
 
 
-def encode_and_stack(tiles: list[np.ndarray], plan: PyramidPlan, encoder) -> np.ndarray:
-    """Encode every tile and stack kept token rows into one matrix.
+def encode_and_stack(tiles: np.ndarray, plan: PyramidPlan, encoder) -> np.ndarray:
+    """Encode every tile in one call and stack kept token rows into one matrix.
 
     Tiles must follow :func:`extract_tiles` order. Levels flagged cls_only
     contribute one row (the CLS token) per tile; others contribute all tokens.
     """
-    flags = []
-    for lv in plan.selected_levels():
-        flags.extend([lv.cls_only] * len(lv.tiles))
-    if len(flags) != len(tiles):
+    levels = plan.selected_levels()
+    cls_only = np.repeat([lv.cls_only for lv in levels], [len(lv.tiles) for lv in levels])
+    if len(cls_only) != len(tiles):
         raise ShapeError(
-            f"{len(tiles)} tiles given but plan selects {len(flags)}"
+            f"{len(tiles)} tiles given but plan selects {len(cls_only)}"
         )
-    rows = []
-    for tile, cls_only in zip(tiles, flags):
-        tokens = encoder.encode_tile(tile)
-        rows.append(tokens[:1] if cls_only else tokens)
-    return np.concatenate(rows, axis=0)
+    tokens = encoder.encode_tiles(tiles)
+    keep = np.ones(tokens.shape[:2], dtype=bool)
+    keep[cls_only, 1:] = False
+    return tokens[keep]
 
 
 def cost_report(plan: PyramidPlan) -> CostReport:

@@ -77,8 +77,7 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _column_sum(g: np.ndarray) -> np.ndarray:
-    """Gradient of a row vector added to every row: per-image column sums,
-    summed over images."""
+    """Gradient of a row vector added to every row: each image's column sums, in order."""
     return _image_sum(g.sum(axis=-2, keepdims=True))
 
 
@@ -169,10 +168,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: x {x.value.shape}, gain {gain.value.shape}, bias {bias.value.shape}"
         )
-    mu = x.value.mean(axis=-1, keepdims=True)
-    var = ((x.value - mu) ** 2).mean(axis=-1, keepdims=True)
+    centered = x.value - x.value.mean(axis=-1, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + x.value.dtype.type(eps))
-    y0 = (x.value - mu) * inv_std
+    y0 = centered * inv_std
     out_val = y0 * gain.value + bias.value
 
     def backward(g):
@@ -223,9 +222,14 @@ def mean_all(x: Tensor) -> Tensor:
 
 def softmax(x: np.ndarray) -> np.ndarray:
     """Max-shifted softmax over the last axis of a plain array."""
+    # A max is exact in any order, so rows shorter than the axis before them
+    # take it from a transposed copy, in one pass along the long axis.
+    if x.ndim > 1 and x.shape[-1] < x.shape[-2]:
+        ex = x - np.ascontiguousarray(np.swapaxes(x, -1, -2)).max(axis=-2)[..., None]
+    else:
+        ex = x - x.max(axis=-1, keepdims=True)
     # in place: one batch of a large vocabulary's scores outgrows the cache,
     # and each temporary of that size costs more than the arithmetic
-    ex = x - x.max(axis=-1, keepdims=True)
     np.exp(ex, out=ex)
     ex /= ex.sum(axis=-1, keepdims=True)
     return ex
@@ -261,16 +265,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     e = q.value.shape[-1]
     if e % heads != 0:
         raise ConfigurationError(f"embed dim {e} not divisible by {heads} heads")
+    shapes = f"q {q.value.shape}, k {k.value.shape}, v {v.value.shape}"
     if k.value.shape[-1] != e or v.value.shape[-1] != e:
-        raise ShapeError(
-            f"attention: column counts differ, q {q.value.shape}, "
-            f"k {k.value.shape}, v {v.value.shape}"
-        )
+        raise ShapeError(f"attention: column counts differ, {shapes}")
     if not q.value.ndim == k.value.ndim == v.value.ndim:
-        raise ShapeError(
-            f"attention: q {q.value.shape}, k {k.value.shape} and v {v.value.shape} "
-            "must all be one image or all stacks"
-        )
+        raise ShapeError(f"attention: {shapes} must all be one image or all stacks")
     dh = e // heads
 
     def split(x):  # (..., rows, e) -> (..., heads, rows, dh)

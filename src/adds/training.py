@@ -15,7 +15,7 @@ import numpy as np
 
 from .decoder import classify, init_head, init_stack, stack_forward
 from .encoders import DEFAULT_PROMPTS, PromptTemplate, embed_label, make_synthetic_world
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericError
 from .optim import AdamState, adam_step
 from .pyramid import build_plan, encode_and_stack, extract_tiles, resize_bilinear
 from .rng import SeedStreams
@@ -199,7 +199,9 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     """Train the decoder stack + head; returns an in-memory checkpoint.
 
     Resuming from a checkpoint of the same config reproduces the
-    uninterrupted run bit-exactly.
+    uninterrupted run bit-exactly. A non-finite minibatch loss raises
+    ``NumericError`` naming its epoch and step (both from 0), before the
+    parameters take an update from it.
     """
     dtype = config.np_dtype
     if world is None:
@@ -250,10 +252,10 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     k_seen = len(seen)
     n = len(samples)
 
-    for _epoch in range(start_epoch, config.epochs):
+    for epoch in range(start_epoch, config.epochs):
         order = shuffle_stream.permutation(n)
         epoch_losses = []
-        for lo in range(0, n, config.batch_size):
+        for step, lo in enumerate(range(0, n, config.batch_size)):
             batch = order[lo : lo + config.batch_size]
             if k_seen > config.selection_threshold:
                 sel = select_labels(label_mat[batch], config.alpha, selection_stream)
@@ -264,10 +266,13 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
             q_final = stack_forward(Tensor(q0), Tensor(kv_all[batch]), stack,
                                     training=True, stream=dropout_stream)
             loss = asl_loss_node(classify(q_final, head), label_mat[batch][:, idx], asl_cfg)
+            value = float(loss.value[0, 0])
+            if not np.isfinite(value):
+                raise NumericError(f"epoch {epoch} step {step}: minibatch loss is {value}")
             backward(loss)
             if config.lr > 0:
                 adam_step(tensors, state, config.lr, config.weight_decay)
-            epoch_losses.append(float(loss.value[0, 0]))
+            epoch_losses.append(value)
         loss_history.append(float(np.mean(epoch_losses)))
 
     return Checkpoint(

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adds import atomic
 from adds.checkpoint import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
@@ -50,6 +51,20 @@ class TestRoundtrip:
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_save_keeps_old_file(self, ckpt, tmp_path, monkeypatch):
+        path = tmp_path / "c.adds"
+        save_checkpoint(ckpt, path)
+        before = path.read_bytes()
+
+        def no_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(atomic.os, "replace", no_replace)
+        with pytest.raises(OSError, match="replace failed"):
+            save_checkpoint(dataclasses.replace(ckpt, epoch=ckpt.epoch + 1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.adds"]
 
     def test_header_layout(self, ckpt, tmp_path):
         path = tmp_path / "c.adds"

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from adds import training
 from adds.checkpoint import load_checkpoint
 from adds.cli import OUT_DIR_ENV, main, read_config_file
 from adds.errors import ConfigurationError
@@ -207,6 +208,40 @@ class TestTrainEval:
         assert code == 1
         assert err.startswith("error:")
         assert not (tmp_path / "rerun" / "run_manifest.json").exists()
+
+    def test_non_finite_loss_exit_1(self, capsys, tmp_path, config_file, monkeypatch):
+        asl_loss_node = training.asl_loss_node
+
+        def inf_loss(*args):
+            node = asl_loss_node(*args)
+            node.value = np.full_like(node.value, np.inf)
+            return node
+
+        monkeypatch.setattr(training, "asl_loss_node", inf_loss)
+        code, _, err = run(capsys, "train", "--config", str(config_file),
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: epoch 0 step 0")
+        assert list(tmp_path.iterdir()) == [config_file]
+
+    def test_failed_rerun_keeps_previous_artifacts(self, capsys, tmp_path, config_file,
+                                                   monkeypatch):
+        assert run(capsys, "train", "--config", str(config_file),
+                   "--out", str(tmp_path))[0] == 0
+        names = sorted(p.name for p in tmp_path.iterdir())
+        before = {n: (tmp_path / n).read_bytes() for n in names}
+
+        def dump_half(obj, fh, **kwargs):
+            fh.write(json.dumps(obj, **kwargs)[:20])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_half)
+        with pytest.raises(OSError, match="disk full"):
+            main(["train", "--config", str(config_file), "--out", str(tmp_path)])
+        # checkpoint and loss log are rewritten with the same bytes; the
+        # manifest write fails part way and leaves the old one in place
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        assert {n: (tmp_path / n).read_bytes() for n in names} == before
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_eval_k_below_one_exit_1(self, capsys, tmp_path, config_file, k):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,17 @@ from adds.errors import ConfigurationError, FormatError, ShapeError
 from adds.rng import SeedStreams
 
 
-def make_encoder(seed=0, base=16, patch=4, dim=6):
-    return FrozenImageEncoder(base, patch, dim, SeedStreams(seed).stream("enc"))
+def make_encoder(seed=0, base=16, patch=4, dim=6, dtype=np.float64):
+    return FrozenImageEncoder(base, patch, dim, SeedStreams(seed).stream("enc"), dtype=dtype)
+
+
+def encode_tile_loop(enc, tile):
+    """One tile at a time through 2-D arrays: the reference for encode_tiles."""
+    p = enc.patch_size
+    patches = (tile.astype(enc.dtype).reshape(enc.grid, p, enc.grid, p)
+               .transpose(0, 2, 1, 3).reshape(enc.n_patches, p * p))
+    tokens = enc.mix @ (patches @ enc.proj)
+    return np.concatenate([tokens.mean(axis=0, keepdims=True), tokens], axis=0)
 
 
 class TestPromptTemplate:
@@ -74,6 +85,18 @@ class TestFrozenImageEncoder:
     def test_wrong_tile_shape(self):
         with pytest.raises(ShapeError):
             make_encoder().encode_tile(np.zeros((8, 8)))
+        with pytest.raises(ShapeError):
+            make_encoder().encode_tiles(np.zeros((16, 16)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encode_tiles_equals_per_tile_loop(self, dtype):
+        # the eval-hires stack: 85 tiles of 32 px, 16 patches of 8 px
+        enc = make_encoder(9, base=32, patch=8, dim=16, dtype=dtype)
+        tiles = SeedStreams(10).stream("tiles").standard_normal((85, 32, 32))
+        tokens = enc.encode_tiles(tiles)
+        assert tokens.shape == (85, 17, 16) and tokens.dtype == dtype
+        np.testing.assert_array_equal(tokens, [encode_tile_loop(enc, t) for t in tiles])
+        np.testing.assert_array_equal(enc.encode_tile(tiles[3]), tokens[3])
 
     def test_patch_divisibility(self):
         with pytest.raises(ConfigurationError):
@@ -139,6 +162,26 @@ class TestFrozenTextEncoder:
         enc = FrozenTextEncoder(2, {n: np.ones(2) for n in self.NESTED})
         assert enc.class_name_in(text) == name == self._scan(self.NESTED, text)
 
+    @staticmethod
+    def _fresh_generator_vector(enc, text):
+        digest = hashlib.sha256(f"{enc.seed}:{text}".encode("utf-8")).digest()
+        key = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 16, 8)]
+        v = np.random.Generator(np.random.Philox(key=key)).standard_normal(enc.embed_dim)
+        return v / np.linalg.norm(v), key
+
+    @pytest.mark.parametrize("dim", [6, 257])
+    def test_hash_vector_equals_fresh_generator(self, dim):
+        # the reused generator is re-keyed per string, so any call order gives
+        # the draws of a generator built for that string alone
+        enc = FrozenTextEncoder(dim, {}, seed=4)
+        texts = [f"{i} This is a photo {'é' * (i % 3)}" for i in range(300)]
+        high = set()
+        for text in texts + texts[::-1]:
+            expected, key = self._fresh_generator_vector(enc, text)
+            np.testing.assert_array_equal(enc._hash_vector(text), expected)
+            high.add(sum(w >= 2**63 for w in key))
+        assert high == {0, 1, 2}  # the float64 key of np.asarray is covered
+
 
 class TestEmbedLabel:
     def test_unit_norm_and_near_class(self):
@@ -201,6 +244,15 @@ class TestSyntheticWorld:
         for _ in range(20):
             _, labels = world.sample(stream, class_subset=subset)
             assert set(np.flatnonzero(labels)) <= {0, 2}
+
+    @pytest.mark.parametrize("k", [16, 600])
+    def test_class_vectors_equal_per_tile_encoding(self, k):
+        # signature tiles are encoded SIGNATURE_CHUNK at a time
+        world = make_synthetic_world(k=k, image_side=64, base_size=32, embed_dim=16, seed=0)
+        for i, name in enumerate(world.class_names):
+            cls = encode_tile_loop(world.image_encoder, world.signature_tile(i))[0]
+            np.testing.assert_array_equal(world.text_encoder.class_vectors[name],
+                                          cls / np.linalg.norm(cls))
 
     def test_alignment_by_construction(self):
         # the text vector of a class is exactly the unit CLS response of the
@@ -311,6 +363,17 @@ class TestEmbeddingFile:
             return
         export_embeddings(path, table)
         assert path.read_bytes() == bytes(raw)
+
+    def test_failed_export_leaves_old_file(self, tmp_path):
+        path = tmp_path / "emb.bin"
+        export_embeddings(path, self._table())
+        before = path.read_bytes()
+        # the second label cannot be encoded, after the first row is written
+        bad = {"ab": np.zeros(5, dtype=np.float32), "\ud800": np.ones(5, dtype=np.float32)}
+        with pytest.raises(UnicodeEncodeError):
+            export_embeddings(path, bad)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
 
     def test_mixed_dims_rejected(self, tmp_path):
         with pytest.raises(FormatError):

@@ -117,13 +117,25 @@ class TestExtractTiles:
         img = SeedStreams(1).stream("img").standard_normal((128, 128))
         plan = build_plan(32, 128)
         tiles = extract_tiles(img, plan)
-        assert len(tiles) == 21
-        assert all(t.shape == (32, 32) for t in tiles)
+        assert tiles.shape == (21, 32, 32)
         # the single level-0 tile is the whole image resized down
         np.testing.assert_array_equal(tiles[0], resize_bilinear(img, 32))
         # bottom level tiles are exact crops of the unresized image
         np.testing.assert_array_equal(tiles[5], img[:32, :32])
         np.testing.assert_array_equal(tiles[5 + 1], img[:32, 32:64])
+
+    @pytest.mark.parametrize("cls_only", [False, True])
+    def test_equals_explicit_crops_at_240(self, cls_only):
+        img = SeedStreams(4).stream("img").standard_normal((240, 240))
+        plan = build_plan(32, 240, cls_only_non_bottom=cls_only)
+        bottom = plan.levels[-1]
+        # the bottom level overlaps, and its last tile is pinned to the edge
+        assert bottom.overlap_px > 0 and bottom.tiles[-1].x == 240 - 32
+        crops = []
+        for lv in plan.selected_levels():
+            resized = resize_bilinear(img, lv.resized_side)
+            crops.extend(resized[t.y : t.y + t.side, t.x : t.x + t.side] for t in lv.tiles)
+        np.testing.assert_array_equal(extract_tiles(img, plan), crops)
 
     def test_wrong_image_side(self):
         plan = build_plan(32, 128)
@@ -132,10 +144,11 @@ class TestExtractTiles:
 
 
 class _RowCountEncoder:
-    """Fake encoder: tile mean in row 0 plus three constant token rows."""
+    """Fake encoder: per tile, its mean in row 0 plus three constant token rows."""
 
-    def encode_tile(self, tile):
-        return np.vstack([np.full((1, 2), tile.mean()), np.ones((3, 2))])
+    def encode_tiles(self, tiles):
+        means = np.repeat(tiles.mean(axis=(1, 2))[:, None, None], 2, axis=2)
+        return np.concatenate([means, np.ones((len(tiles), 3, 2))], axis=1)
 
 
 class TestEncodeAndStack:
@@ -146,6 +159,8 @@ class TestEncodeAndStack:
         out = encode_and_stack(tiles, plan, _RowCountEncoder())
         # levels 0 and 1 contribute 1 row per tile, level 2 all 4 rows
         assert out.shape == (1 + 4 + 16 * 4, 2)
+        np.testing.assert_array_equal(out[:5, 0], tiles[:5].mean(axis=(1, 2)))
+        np.testing.assert_array_equal(out[5:9], [[tiles[5].mean()] * 2, [1, 1], [1, 1], [1, 1]])
 
     def test_all_tokens_kept_by_default(self):
         img = SeedStreams(3).stream("img").standard_normal((64, 64))
@@ -156,7 +171,7 @@ class TestEncodeAndStack:
     def test_tile_count_mismatch(self):
         plan = build_plan(32, 64)
         with pytest.raises(ShapeError):
-            encode_and_stack([np.zeros((32, 32))], plan, _RowCountEncoder())
+            encode_and_stack(np.zeros((1, 32, 32)), plan, _RowCountEncoder())
 
 
 class TestCostReport:

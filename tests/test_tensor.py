@@ -95,6 +95,16 @@ class TestSoftmaxRows:
         assert np.all(out >= 0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-9)
 
+    # last axis shorter than, equal to and longer than the one before it
+    @pytest.mark.parametrize("shape", [(2, 2, 1445, 16), (3, 16, 16), (2, 16, 85), (40, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("magnitude", [1.0, 1e4, 1e30])
+    def test_equals_row_max_form_bitwise(self, shape, dtype, magnitude):
+        x = (rng(6).standard_normal(shape) * magnitude).astype(dtype)
+        expected = np.exp(x - x.max(axis=-1, keepdims=True))
+        expected /= expected.sum(axis=-1, keepdims=True)
+        np.testing.assert_array_equal(softmax(x), expected)
+
 
 class TestLayerNorm:
     def _unit_affine(self, e):
@@ -109,6 +119,16 @@ class TestLayerNorm:
         gain, bias = self._unit_affine(2)
         out = layer_norm(Tensor([[1.0, -1.0]]), gain, bias, eps=1e-15)
         np.testing.assert_allclose(out.value, [[1.0, -1.0]], atol=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_unfused_form_bitwise(self, dtype):
+        x = rng(7).standard_normal((3, 5, 16)).astype(dtype)
+        gain, bias = (rng(s).standard_normal((1, 16)).astype(dtype) for s in (8, 9))
+        mu = x.mean(axis=-1, keepdims=True)
+        inv_std = 1.0 / np.sqrt(((x - mu) ** 2).mean(axis=-1, keepdims=True) + dtype(1e-5))
+        expected = (x - mu) * inv_std * gain + bias
+        out = layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).value
+        np.testing.assert_array_equal(out, expected)
 
     def test_scalar_loop_oracle(self):
         x = rng(3).standard_normal((3, 4))

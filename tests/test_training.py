@@ -1,15 +1,18 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
+from adds import training
 from adds.checkpoint import load_checkpoint, save_checkpoint
-from adds.errors import ConfigurationError
+from adds.errors import ConfigurationError, NumericError
 from adds.metrics import MetricsReport, metrics_report
 from adds.rng import SeedStreams
 from adds.training import (
     TrainConfig,
     build_model,
+    build_pyramid_plan,
     build_world,
     cosine_baseline_scores,
     default_lr,
@@ -197,6 +200,23 @@ class TestTrain:
         # exact floats of the engine that built one graph per image
         assert train(tiny_config(**overrides)).loss_history == history
 
+    def test_non_finite_loss_names_epoch_and_step(self, monkeypatch):
+        # 24 images in batches of 8: the fourth minibatch is epoch 1, step 0
+        calls = []
+
+        def nan_on_fourth(*args):
+            node = asl_loss_node(*args)
+            calls.append(node)
+            if len(calls) == 4:
+                node.value = np.full_like(node.value, np.nan)
+            return node
+
+        asl_loss_node = training.asl_loss_node
+        monkeypatch.setattr(training, "asl_loss_node", nan_on_fourth)
+        with pytest.raises(NumericError, match="epoch 1 step 0"):
+            train(tiny_config(batch_size=8))
+        assert len(calls) == 4
+
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
         with pytest.raises(ConfigurationError):
@@ -260,6 +280,16 @@ class TestEvaluation:
         )
         assert scores.shape == (6, 8)
         assert np.all(np.abs(scores) <= 1.0 + 1e-12)
+
+    def test_scores_are_pinned(self):
+        # SHA-256 of the score bytes of the engine that encoded one tile per
+        # call. At 96 px with base 40 the bottom level's three tiles per axis
+        # overlap by 12 px, and the two levels above it keep only CLS rows.
+        cfg = tiny_config(image_side=96, base_size=40, n_train=8, cls_only_non_bottom=True)
+        assert build_pyramid_plan(cfg).levels[-1].overlap_px == 12
+        scores, _, _ = evaluation_scores(train(cfg), n_eval=8)
+        assert hashlib.sha256(scores.tobytes()).hexdigest() == (
+            "ff2822aaf8239cbbe234ff47cb0997f2014b0ee7353f0ef88264e7787ae48679")
 
     def test_label_queries_unit_norm(self):
         world = build_world(tiny_config())
