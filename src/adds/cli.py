@@ -332,24 +332,28 @@ def _decoder_gradcheck_loss(dims, depth, corrupt):
 
 
 def cmd_gradcheck(args) -> int:
-    if args.self_test:
-        streams = SeedStreams(3)
-        theta = Tensor(streams.stream("theta").standard_normal((4, 4)),
-                       trainable=True)
+    try:
+        if args.self_test:
+            streams = SeedStreams(3)
+            theta = Tensor(streams.stream("theta").standard_normal((4, 4)),
+                           trainable=True)
 
-        def loss_fn():
-            from .tensor import mean_all, mul, scale
+            def loss_fn():
+                from .tensor import mean_all, mul, scale
 
-            n = theta.value.size
-            return scale(mean_all(mul(theta, theta)), 0.5 * n)
+                n = theta.value.size
+                return scale(mean_all(mul(theta, theta)), 0.5 * n)
 
-        err = grad_check(loss_fn, [theta], eps=args.eps)
-        threshold = 1e-9
-    else:
-        loss_fn, params = _decoder_gradcheck_loss(args.dims, args.depth,
-                                                  args.corrupt_gradient)
-        err = grad_check(loss_fn, params, eps=args.eps)
-        threshold = 1e-4
+            err = grad_check(loss_fn, [theta], eps=args.eps)
+            threshold = 1e-9
+        else:
+            loss_fn, params = _decoder_gradcheck_loss(args.dims, args.depth,
+                                                      args.corrupt_gradient)
+            err = grad_check(loss_fn, params, eps=args.eps)
+            threshold = 1e-4
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"max relative gradient error: {err:.3e} (threshold {threshold:g})")
     return 0 if err < threshold else 1
 

@@ -186,6 +186,8 @@ def init_stack(
 ) -> DecoderStack:
     if depth < 1:
         raise ConfigurationError(f"stack depth must be >= 1, got {depth}")
+    if embed_dim < 1:
+        raise ConfigurationError(f"embed dim must be >= 1, got {embed_dim}")
     if kind not in ("dual_modal", "baseline"):
         raise ConfigurationError(f"unknown block kind {kind!r}")
     if embed_dim % heads != 0:

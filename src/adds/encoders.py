@@ -172,6 +172,7 @@ def embed_label(class_name: str, templates, encoder: FrozenTextEncoder) -> np.nd
 _CONSONANTS = "bdfgklmnprstvz"
 _VOWELS = "aeiou"
 _SYLLABLES = [c + v for c in _CONSONANTS for v in _VOWELS]
+MAX_CLASSES = len(_SYLLABLES) ** 2  # class names are two syllables
 
 SIGNATURE_CHUNK = 64  # signature tiles per encode_tiles call
 

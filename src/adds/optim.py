@@ -1,6 +1,6 @@
 """Adam with decoupled weight decay, and finite-difference gradient checking."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -10,19 +10,50 @@ from .tensor import Tensor, backward
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, parallel to a fixed parameter list."""
+    """Adam moments for a fixed parameter list, kept in flat buffers.
 
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    ``for_params`` packs the trainable parameters' values into the one
+    contiguous array ``values`` and rebinds each ``p.value`` to a view of it;
+    ``flat_m`` and ``flat_v`` hold the moments in the same layout, so one
+    vectorised update steps every parameter. ``m[i]`` and ``v[i]`` are
+    parameter i's moments: views into the flat arrays, or zeros of its own
+    for a frozen parameter. ``views`` holds the packed parameters' values in
+    packing order. From then on a packed parameter is updated in place; one
+    whose ``.value`` is rebound would no longer train, and ``adam_step``
+    refuses it.
+    """
+
+    m: list
+    v: list
+    values: np.ndarray
+    flat_m: np.ndarray
+    flat_v: np.ndarray
+    views: list
     step: int = 0
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p.value) for p in params],
-            v=[np.zeros_like(p.value) for p in params],
-            step=0,
-        )
+        packed = [p for p in params if p.trainable]
+        dtypes = sorted({p.value.dtype.name for p in packed})
+        if len(dtypes) > 1:
+            raise ConfigurationError(
+                f"trainable parameters mix dtypes {dtypes}; Adam keeps them in one buffer"
+            )
+        values = np.concatenate([p.value.reshape(-1) for p in packed]) if packed else np.empty(0)
+        flat_m, flat_v = np.zeros_like(values), np.zeros_like(values)
+        m, v, lo = [], [], 0
+        for p in params:
+            if not p.trainable:
+                m.append(np.zeros_like(p.value))
+                v.append(np.zeros_like(p.value))
+                continue
+            shape, hi = p.value.shape, lo + p.value.size
+            p.value = values[lo:hi].reshape(shape)
+            m.append(flat_m[lo:hi].reshape(shape))
+            v.append(flat_v[lo:hi].reshape(shape))
+            lo = hi
+        return cls(m=m, v=v, values=values, flat_m=flat_m, flat_v=flat_v,
+                   views=[p.value for p in packed])
 
 
 def adam_step(
@@ -37,24 +68,41 @@ def adam_step(
 
     Weight decay is decoupled (applied directly to the value, not the
     gradient) and, like the update itself, touches trainable params only.
+    Every op works element by element, so one pass over the flat buffers
+    rounds exactly like a loop over the parameters. ``params`` must be the
+    list ``state`` was made for, its trainable values still the views
+    ``for_params`` bound; otherwise ``ConfigurationError``, before any update.
     """
     if lr <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {lr}")
+    packed = [p for p in params if p.trainable]
+    if len(packed) != len(state.views) or any(
+        p.value is not w for p, w in zip(packed, state.views)
+    ):
+        raise ConfigurationError(
+            "a trainable parameter's value is not its view of the Adam buffer; "
+            "update parameters in place"
+        )
     b1, b2 = betas
     state.step += 1
     t = state.step
-    for i, p in enumerate(params):
-        if not p.trainable:
-            continue
-        g = p.grad if p.grad is not None else np.zeros_like(p.value)
-        dt = p.value.dtype
-        if wd:
-            p.value -= dt.type(lr * wd) * p.value
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        m_hat = state.m[i] / (1.0 - b1**t)
-        v_hat = state.v[i] / (1.0 - b2**t)
-        p.value -= (dt.type(lr) * m_hat / (np.sqrt(v_hat) + dt.type(eps))).astype(dt)
+    if not packed:
+        return
+    values, m, v = state.values, state.flat_m, state.flat_v
+    dt = values.dtype
+    g = np.concatenate([
+        p.grad.reshape(-1) if p.grad is not None else np.zeros(p.value.size, dt)
+        for p in packed
+    ])
+    if wd:
+        values -= dt.type(lr * wd) * values
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * (g * g)
+    m_hat = m / (1.0 - b1**t)
+    v_hat = v / (1.0 - b2**t)
+    values -= (dt.type(lr) * m_hat / (np.sqrt(v_hat) + dt.type(eps))).astype(dt, copy=False)
 
 
 def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
@@ -64,6 +112,8 @@ def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
     Relative error uses an absolute floor so near-zero gradients are compared
     at finite-difference noise level rather than amplified.
     """
+    if not eps > 0:
+        raise ConfigurationError(f"finite-difference step must be positive, got {eps}")
     loss = loss_fn()
     if not np.isfinite(loss.value).all():
         raise NumericError("loss is not finite")

@@ -77,6 +77,8 @@ def build_plan(
     selected_levels: list[int] | None = None,
     cls_only_non_bottom: bool = False,
 ) -> PyramidPlan:
+    if base_size < 1:
+        raise ConfigurationError(f"base size must be >= 1, got {base_size}")
     if target_side < base_size:
         raise ConfigurationError(
             f"target side {target_side} smaller than base size {base_size}"

@@ -57,20 +57,25 @@ def select_labels(batch_labels, alpha: float, stream) -> LabelSelection:
 def asl_loss(p, y, cfg: AslConfig):
     """Asymmetric loss (mean over classes) and its gradient w.r.t. p.
 
+    ``p`` and ``y`` hold one image's k probabilities and labels, or a (B, k)
+    row per image. The loss is a float for one image and an array of B
+    per-image means for rows; each row's mean is the same sum as the image's
+    alone, so the two round alike.
+
     Positives: -(1-p)^g+ * log p. Negatives, with p_m = max(p - margin, 0):
     -(p_m)^g- * log(1 - p_m). With both exponents and the margin at zero this
     is exactly binary cross-entropy.
     """
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    y = np.asarray(y).reshape(-1)
-    if p.shape != y.shape:
-        raise ValueError(f"shapes differ: p {p.shape}, y {y.shape}")
+    p = np.asarray(p, dtype=np.float64)
+    y = np.asarray(y)
+    if p.shape != y.shape or p.ndim not in (1, 2):
+        raise ValueError(f"p {p.shape} and y {y.shape} must share one shape, (k,) or (B, k)")
     p = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-    n = p.size
+    n = p.shape[-1]
     gp, gn, m = cfg.gamma_pos, cfg.gamma_neg, cfg.margin
 
-    loss = np.zeros(n)
-    grad = np.zeros(n)
+    loss = np.zeros(p.shape)
+    grad = np.zeros(p.shape)
     pos = y == 1
     if pos.any():
         pp = p[pos]
@@ -93,7 +98,8 @@ def asl_loss(p, y, cfg: AslConfig):
             gneg[active] += -gn * pa ** (gn - 1.0) * np.log1p(-pa)
         loss[neg] = lneg
         grad[neg] = gneg
-    return float(loss.mean()), grad / n
+    means = loss.mean(axis=-1)
+    return (float(means) if p.ndim == 1 else means), grad / n
 
 
 def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
@@ -106,12 +112,11 @@ def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
     node per image rounds them.
     """
     dtype = p.value.dtype
-    probs = p.value.reshape(-1, *p.value.shape[-2:])
-    labels = np.reshape(y, (len(probs), -1))
-    parts = [asl_loss(pb, yb, cfg) for pb, yb in zip(probs, labels)]
-    inv_n = dtype.type(1.0 / len(parts))
-    total = np.cumsum(np.array([value for value, _ in parts], dtype=dtype))[-1]
-    grad = np.stack([g for _, g in parts]).reshape(p.value.shape).astype(dtype)
+    rows = p.value.reshape(-1, p.value.shape[-2] * p.value.shape[-1])
+    values, grad = asl_loss(rows, np.reshape(y, rows.shape), cfg)
+    inv_n = dtype.type(1.0 / len(rows))
+    total = np.cumsum(values.astype(dtype))[-1]
+    grad = grad.reshape(p.value.shape).astype(dtype)
 
     def backward(g):
         p.grad += g[0, 0] * inv_n * grad

@@ -168,8 +168,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: x {x.value.shape}, gain {gain.value.shape}, bias {bias.value.shape}"
         )
-    centered = x.value - x.value.mean(axis=-1, keepdims=True)
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    centered = x.value - np.add.reduce(x.value, axis=-1, keepdims=True) / cols
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / cols
     inv_std = 1.0 / np.sqrt(var + x.value.dtype.type(eps))
     y0 = centered * inv_std
     out_val = y0 * gain.value + bias.value
@@ -178,8 +178,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         gain.grad += _column_sum(g * y0)
         bias.grad += _column_sum(g)
         dy0 = g * gain.value
-        m1 = dy0.mean(axis=-1, keepdims=True)
-        m2 = (dy0 * y0).mean(axis=-1, keepdims=True)
+        m1 = np.add.reduce(dy0, axis=-1, keepdims=True) / cols
+        m2 = np.add.reduce(dy0 * y0, axis=-1, keepdims=True) / cols
         x.grad += (dy0 - m1 - y0 * m2) * inv_std
 
     return _node(out_val, (x, gain, bias), backward)

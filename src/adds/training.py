@@ -14,7 +14,13 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .decoder import classify, init_head, init_stack, stack_forward
-from .encoders import DEFAULT_PROMPTS, PromptTemplate, embed_label, make_synthetic_world
+from .encoders import (
+    DEFAULT_PROMPTS,
+    MAX_CLASSES,
+    PromptTemplate,
+    embed_label,
+    make_synthetic_world,
+)
 from .errors import ConfigurationError, NumericError
 from .optim import AdamState, adam_step
 from .pyramid import build_plan, encode_and_stack, extract_tiles, resize_bilinear
@@ -71,6 +77,10 @@ class TrainConfig:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
         if self.lr < 0:
             self.lr = default_lr(self.image_side)
+        if self.classes > MAX_CLASSES:
+            raise ConfigurationError(
+                f"classes {self.classes} exceeds the {MAX_CLASSES} names the world can make"
+            )
         if not 0 < self.n_seen < self.classes:
             raise ConfigurationError(
                 f"n_seen {self.n_seen} must be in [1, {self.classes}): "
@@ -292,9 +302,14 @@ def _load_into(ckpt: Checkpoint, params, state: AdamState, streams: SeedStreams)
     for i, (name, t) in enumerate(params):
         if name not in ckpt.weights:
             raise ConfigurationError(f"checkpoint is missing parameter {name}")
-        t.value = ckpt.weights[name].astype(t.value.dtype).copy()
-        state.m[i] = ckpt.opt_m[name].astype(t.value.dtype).copy()
-        state.v[i] = ckpt.opt_v[name].astype(t.value.dtype).copy()
+        # copy in place: values and moments are views of the optimizer's buffers
+        for dst, src in ((t.value, ckpt.weights[name]), (state.m[i], ckpt.opt_m[name]),
+                         (state.v[i], ckpt.opt_v[name])):
+            if src.shape != dst.shape:
+                raise ConfigurationError(
+                    f"checkpoint parameter {name} has shape {src.shape}, model {dst.shape}"
+                )
+            dst[...] = src.astype(dst.dtype)
     state.step = ckpt.opt_step
     streams.restore(ckpt.rng)
 
@@ -322,10 +337,14 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
     the seen classes of the training split; passing the full class list
     exercises the open-vocabulary path (unseen names are simply embedded).
     """
+    if n_eval < 1:
+        raise ValueError(f"n_eval must be >= 1, got {n_eval}")
     config, world, stack, head = restore_model(ckpt)
     plan = build_pyramid_plan(config)
     if vocab is None:
         vocab, _ = open_vocab_split(world.class_names, config.n_seen)
+    if not vocab:
+        raise ValueError("vocab names no labels")
     for name in vocab:
         if name not in world.class_names:
             raise ValueError(f"label {name!r} is not a class of this world")

@@ -85,6 +85,11 @@ class TestPlan:
         assert code == 1
         assert "error" in err
 
+    def test_zero_base_size_exit_1(self, capsys):
+        code, _, err = run(capsys, "plan", "--base-size", "0", "--target-size", "64")
+        assert code == 1
+        assert err.startswith("error: base size")
+
     def test_bad_level_selection_exit_1(self, capsys):
         code, _, err = run(capsys, "plan", "--base-size", "32",
                            "--target-size", "64", "--levels", "5")
@@ -179,7 +184,7 @@ class TestTrainEval:
                                       "image_side = 16", "patch_size = 5",
                                       "patch_size = 0",
                                       "pyramid_levels = 7", "pyramid_levels = x",
-                                      "dtype = float16"])
+                                      "dtype = float16", "classes = 5000"])
     def test_invalid_config_exit_1(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CONFIG + line + "\n")
@@ -262,6 +267,17 @@ class TestTrainEval:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("flag, value, named", [("--n-eval", "0", "n_eval"),
+                                                    ("--vocab", ",", "vocab")])
+    def test_empty_eval_set_or_vocab_exit_1(self, capsys, tmp_path, config_file,
+                                            flag, value, named):
+        run(capsys, "train", "--config", str(config_file), "--out", str(tmp_path))
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "checkpoint.adds"),
+                           "--n-eval", "4", flag, value, "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert err.startswith("error:") and named in err
+        assert not (tmp_path / "e" / "metrics.jsonl").exists()
+
     def test_out_dir_env_var(self, capsys, tmp_path, config_file, monkeypatch):
         env_dir = tmp_path / "from-env"
         monkeypatch.setenv(OUT_DIR_ENV, str(env_dir))
@@ -284,3 +300,11 @@ class TestGradcheck:
         code, out, _ = run(capsys, "gradcheck", "--dims", "4", "--depth", "1",
                            "--corrupt-gradient")
         assert code == 1
+
+    @pytest.mark.parametrize("args", [("--dims", "0"), ("--depth", "0"), ("--eps", "0"),
+                                      ("--self-test", "--eps", "0")])
+    def test_bad_setting_exit_1(self, capsys, args):
+        code, out, err = run(capsys, "gradcheck", *args)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "max relative gradient error" not in out

@@ -74,6 +74,97 @@ class TestAdam:
         assert p.value.dtype == np.float32
 
 
+def loop_adam_step(params, m, v, t, lr, wd, betas=(0.9, 0.999), eps=1e-8):
+    """Reference: one Adam step parameter by parameter, on private copies."""
+    b1, b2 = betas
+    for i, (value, g) in enumerate(params):
+        dt = value.dtype
+        if wd:
+            value -= dt.type(lr * wd) * value
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        m_hat = m[i] / (1.0 - b1**t)
+        v_hat = v[i] / (1.0 - b2**t)
+        value -= (dt.type(lr) * m_hat / (np.sqrt(v_hat) + dt.type(eps))).astype(dt)
+
+
+SHAPES = [(3, 4), (1, 7), (16, 16), (1, 1), (5, 2)]
+
+
+class TestFlatBuffer:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_twenty_steps_match_per_array_loop_bitwise(self, dtype):
+        g = rng(20)
+        params = [param(g.standard_normal(s).astype(dtype)) for s in SHAPES]
+        frozen = param(g.standard_normal((2, 3)).astype(dtype), trainable=False)
+        params.insert(2, frozen)
+        live = [p for p in params if p.trainable]
+        ref = [p.value.copy() for p in live]
+        ref_m = [np.zeros_like(r) for r in ref]
+        ref_v = [np.zeros_like(r) for r in ref]
+        state = AdamState.for_params(params)
+        lr, wd = 3e-2, 1e-2
+        for t in range(1, 21):
+            grads = [g.standard_normal(p.value.shape).astype(dtype) for p in live]
+            for p, grad in zip(live, grads):
+                p.grad = grad.copy()
+            live[3].grad = None  # a parameter the loss did not reach
+            grads[3] = np.zeros_like(grads[3])
+            adam_step(params, state, lr, wd=wd)
+            loop_adam_step(list(zip(ref, grads)), ref_m, ref_v, t, lr, wd)
+        assert state.step == 20
+        i = 0
+        for j, p in enumerate(params):
+            if not p.trainable:
+                np.testing.assert_array_equal(state.m[j], 0)
+                continue
+            assert p.value.dtype == dtype
+            np.testing.assert_array_equal(p.value, ref[i])
+            np.testing.assert_array_equal(state.m[j], ref_m[i])
+            np.testing.assert_array_equal(state.v[j], ref_v[i])
+            i += 1
+
+    def test_params_and_moments_are_views_of_the_flat_buffers(self):
+        g = rng(21)
+        params = [param(g.standard_normal(s)) for s in SHAPES]
+        before = [p.value.copy() for p in params]
+        state = AdamState.for_params(params)
+        assert state.values.size == sum(p.value.size for p in params)
+        for p, m, v, b in zip(params, state.m, state.v, before):
+            assert np.shares_memory(p.value, state.values)
+            assert np.shares_memory(m, state.flat_m)
+            assert np.shares_memory(v, state.flat_v)
+            np.testing.assert_array_equal(p.value, b)
+
+    def test_rebound_value_raises_before_any_update(self):
+        g = rng(22)
+        params = [param(g.standard_normal(s)) for s in SHAPES]
+        state = AdamState.for_params(params)
+        for p in params:
+            p.grad = np.ones_like(p.value)
+        params[1].value = params[1].value.copy()
+        values = state.values.copy()
+        with pytest.raises(ConfigurationError, match="in place"):
+            adam_step(params, state, 1e-2, wd=1e-2)
+        np.testing.assert_array_equal(state.values, values)
+        assert state.step == 0
+
+    def test_frozen_after_packing_raises(self):
+        params = [param(np.ones((2, 2))), param(np.ones((1, 2)))]
+        state = AdamState.for_params(params)
+        params[0].trainable = False
+        with pytest.raises(ConfigurationError):
+            adam_step(params, state, 1e-2)
+
+    def test_mixed_dtypes_raise(self):
+        params = [param(np.ones((2, 2), np.float32)), param(np.ones((1, 2), np.float64))]
+        with pytest.raises(ConfigurationError, match="dtypes"):
+            AdamState.for_params(params)
+        # a frozen parameter is not packed, so its dtype does not matter
+        params[1].trainable = False
+        AdamState.for_params(params)
+
+
 class TestGradCheck:
     def test_quadratic_passes(self):
         theta = param(rng(5).standard_normal((3, 3)))

@@ -70,6 +70,18 @@ class TestAslValue:
         with pytest.raises(ValueError):
             asl_loss([0.5, 0.5], [1], AslConfig())
 
+    @pytest.mark.parametrize("cfg", [AslConfig(), AslConfig(gamma_pos=1.5, margin=0.1)])
+    def test_rows_equal_one_call_per_image_bitwise(self, cfg):
+        g = rng(13)
+        p = g.uniform(0.0, 1.0, size=(5, 37))
+        y = g.integers(0, 2, size=(5, 37))
+        values, grad = asl_loss(p, y, cfg)
+        assert values.shape == (5,)
+        for row in range(5):
+            value, grad_row = asl_loss(p[row], y[row], cfg)
+            assert isinstance(value, float) and value == values[row]
+            np.testing.assert_array_equal(grad_row, grad[row])
+
 
 class TestAslGradient:
     @pytest.mark.parametrize("cfg", [

@@ -58,6 +58,10 @@ class TestTrainConfig:
             tiny_config(epochs=0)
         with pytest.raises(ConfigurationError):
             TrainConfig(classes=4, n_seen=5)
+        # the world names its classes with two of 70 syllables
+        TrainConfig(classes=4900, n_seen=12)
+        with pytest.raises(ConfigurationError, match="4900"):
+            TrainConfig(classes=4901, n_seen=12)
 
 
 class TestOpenVocabSplit:
@@ -127,6 +131,27 @@ class TestTrain:
             np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
             np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
             np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
+
+    def test_resumed_run_trains_through_the_flat_buffer(self, monkeypatch):
+        # resume copies into the parameters in place, so every Adam step
+        # still finds each value a view of the buffer and moves it
+        cfg = tiny_config(epochs=4)
+        half = train(dataclasses.replace(cfg, epochs=2))
+        adam_step = training.adam_step
+        moved = []
+
+        def checked_step(params, state, *args):
+            assert all(np.shares_memory(p.value, state.values) for p in params)
+            before = state.values.copy()
+            adam_step(params, state, *args)
+            moved.append(not np.array_equal(before, state.values))
+
+        monkeypatch.setattr(training, "adam_step", checked_step)
+        resumed = train(cfg, resume=half)
+        assert len(moved) == 2 * 3 and all(moved)
+        assert resumed.loss_history[:2] == half.loss_history
+        assert any(not np.array_equal(resumed.weights[n], half.weights[n])
+                   for n in half.weights)
 
     def test_checkpoint_with_dead_blobs_loads_scores_and_resumes(self, tmp_path):
         # older checkpoint files also hold tensors that stack_forward never
@@ -256,6 +281,12 @@ class TestEvaluation:
     def test_unknown_label_rejected(self, ckpt):
         with pytest.raises(ValueError):
             evaluation_scores(ckpt, vocab=["nonexistent"], n_eval=2)
+
+    def test_empty_eval_set_or_vocab_named(self, ckpt):
+        with pytest.raises(ValueError, match="n_eval"):
+            evaluation_scores(ckpt, n_eval=0)
+        with pytest.raises(ValueError, match="vocab"):
+            evaluation_scores(ckpt, vocab=[], n_eval=2)
 
     def test_eval_seed_controls_data(self, ckpt):
         a = evaluation_scores(ckpt, n_eval=4, eval_seed=1)[0]
