@@ -59,12 +59,6 @@ class FrozenImageEncoder:
         self.proj.setflags(write=False)
         self.mix.setflags(write=False)
 
-    def weight_hash(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.proj.tobytes())
-        h.update(self.mix.tobytes())
-        return h.hexdigest()
-
     def encode_tiles(self, tiles: np.ndarray) -> np.ndarray:
         """Tokens for a (T, base, base) stack of tiles, (T, 1 + p, e): row 0 of
         each tile is CLS, rows 1..p are patches. A tile's tokens are the same

@@ -49,6 +49,11 @@ class PyramidPlan:
     def tile_count(self) -> int:
         return sum(len(lv.tiles) for lv in self.selected_levels())
 
+    def row_count(self, tokens_per_tile: int) -> int:
+        """Stacked token rows of one image (see :func:`encode_and_stack`)."""
+        return sum(len(lv.tiles) * (1 if lv.cls_only else tokens_per_tile)
+                   for lv in self.selected_levels())
+
 
 @dataclass
 class CostReport:
@@ -129,70 +134,67 @@ def build_plan(
 def resize_bilinear(image: np.ndarray, new_side: int) -> np.ndarray:
     """Separable bilinear resize with half-pixel center alignment.
 
-    Identity (bit-exact copy) when the size is unchanged. Works on [H, W] or
-    [H, W, C] arrays with square spatial dims.
+    Identity (bit-exact copy) when the size is unchanged. Works on a square
+    [H, W] image or a [B, H, W] stack of them; the interpolation tables are
+    built once per call, and each image's pixels depend on that image alone.
     """
     if new_side < 1:
         raise ConfigurationError(f"new side must be >= 1, got {new_side}")
-    old_side = image.shape[0]
-    if image.shape[1] != old_side:
-        raise ShapeError(f"expected a square image, got {image.shape}")
+    old_side = image.shape[-1]
+    if image.shape[-2] != old_side:
+        raise ShapeError(f"expected square images, got {image.shape}")
     if new_side == old_side:
         return image.copy()
     src = (np.arange(new_side) + 0.5) * (old_side / new_side) - 0.5
     lo = np.clip(np.floor(src).astype(int), 0, old_side - 1)
     hi = np.clip(lo + 1, 0, old_side - 1)
     frac = np.clip(src - lo, 0.0, 1.0)
-
-    def interp_axis0(img):
-        a = img[lo]
-        b = img[hi]
-        w = frac.reshape(-1, *([1] * (img.ndim - 1)))
-        return a * (1.0 - w) + b * w
-
-    rows = interp_axis0(image.astype(np.float64, copy=False))
-    cols = np.swapaxes(interp_axis0(np.swapaxes(rows, 0, 1)), 0, 1)
+    w = frac[:, None]
+    x = image.astype(np.float64, copy=False)
+    rows = x[..., lo, :] * (1.0 - w) + x[..., hi, :] * w
+    cols = rows[..., lo] * (1.0 - frac) + rows[..., hi] * frac
     return cols.astype(image.dtype) if np.issubdtype(image.dtype, np.floating) else cols
 
 
-def extract_tiles(image: np.ndarray, plan: PyramidPlan) -> np.ndarray:
-    """Resize per selected level and crop every tile into one (T, base, base)
-    array, (T, base, base, C) for a channel image; level-major, row-major order."""
-    if image.shape[0] != plan.target_side or image.shape[1] != plan.target_side:
-        raise ShapeError(
-            f"image side {image.shape[:2]} != plan target {plan.target_side}"
-        )
+def extract_tiles(images: np.ndarray, plan: PyramidPlan) -> np.ndarray:
+    """Resize per selected level and crop every tile: (T, base, base) for one
+    image, (B, T, base, base) for a (B, side, side) stack; level-major,
+    row-major order. Each level is resized once for the whole stack."""
+    side = plan.target_side
+    if images.shape[-2:] != (side, side):
+        raise ShapeError(f"image side {images.shape[-2:]} != plan target {side}")
     b = plan.base_size
-    floating = np.issubdtype(image.dtype, np.floating)
-    out = np.empty((plan.tile_count(), b, b, *image.shape[2:]),
-                   image.dtype if floating else np.float64)
+    floating = np.issubdtype(images.dtype, np.floating)
+    out = np.empty((*images.shape[:-2], plan.tile_count(), b, b),
+                   images.dtype if floating else np.float64)
     # crops go straight into one array: an array per level and their
     # concatenation took longer than the copies
     start = 0
     for lv in plan.selected_levels():
-        resized = resize_bilinear(image, lv.resized_side)
-        np.stack([resized[t.y : t.y + b, t.x : t.x + b] for t in lv.tiles],
-                 out=out[start : start + len(lv.tiles)])
+        resized = images if lv.resized_side == side else resize_bilinear(images, lv.resized_side)
+        np.stack([resized[..., t.y : t.y + b, t.x : t.x + b] for t in lv.tiles], axis=-3,
+                 out=out[..., start : start + len(lv.tiles), :, :])
         start += len(lv.tiles)
     return out
 
 
 def encode_and_stack(tiles: np.ndarray, plan: PyramidPlan, encoder) -> np.ndarray:
-    """Encode every tile in one call and stack kept token rows into one matrix.
+    """Encode every tile in one call and stack kept token rows: (R, e) for one
+    image's (T, base, base) tiles, (B, R, e) for a (B, T, base, base) stack.
 
     Tiles must follow :func:`extract_tiles` order. Levels flagged cls_only
     contribute one row (the CLS token) per tile; others contribute all tokens.
     """
     levels = plan.selected_levels()
     cls_only = np.repeat([lv.cls_only for lv in levels], [len(lv.tiles) for lv in levels])
-    if len(cls_only) != len(tiles):
-        raise ShapeError(
-            f"{len(tiles)} tiles given but plan selects {len(cls_only)}"
-        )
-    tokens = encoder.encode_tiles(tiles)
-    keep = np.ones(tokens.shape[:2], dtype=bool)
+    if tiles.ndim < 3 or tiles.shape[-3] != len(cls_only):
+        raise ShapeError(f"tiles of shape {tiles.shape} given but plan selects "
+                         f"{len(cls_only)} per image")
+    tokens = encoder.encode_tiles(tiles.reshape(-1, *tiles.shape[-2:]))
+    tokens = tokens.reshape(*tiles.shape[:-2], *tokens.shape[1:])
+    keep = np.ones(tokens.shape[-3:-1], dtype=bool)
     keep[cls_only, 1:] = False
-    return tokens[keep]
+    return tokens[..., keep, :]
 
 
 def cost_report(plan: PyramidPlan) -> CostReport:

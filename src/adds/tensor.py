@@ -235,23 +235,18 @@ def softmax(x: np.ndarray) -> np.ndarray:
     return ex
 
 
-# Bytes of attention scores computed at once. One image of a 600-label
-# vocabulary (2 heads x 600 x 85 float32 scores) fits; a batch of them
-# outgrows the core's cache, and its speed then varies with what the cache
-# holds, not only with the arithmetic.
-SCORE_CHUNK_BYTES = 1 << 19
+# Bytes of work held at once: attention scores, a decoder forward's rows, a
+# stack of tiles. One image of a 600-label vocabulary (2 heads x 600 x 85
+# float32 scores) fits; a batch of them outgrows the core's cache, and its
+# speed then varies with what the cache holds, not only with the arithmetic.
+CHUNK_BYTES = 1 << 19
 
 
-def _image_chunks(qh: np.ndarray, kh: np.ndarray) -> list:
-    """Slices of the batch axis whose score arrays fit in SCORE_CHUNK_BYTES.
-
-    An image's scores depend on that image alone, so chunking changes no result.
-    """
-    if qh.ndim < 4:
-        return [slice(None)]
-    per_image = qh.shape[-3] * qh.shape[-2] * kh.shape[-2] * qh.itemsize
-    step = max(1, SCORE_CHUNK_BYTES // per_image)
-    return [slice(lo, lo + step) for lo in range(0, qh.shape[0], step)]
+def batch_chunks(n: int, item_bytes: int) -> list:
+    """Slices of range(n) that each hold at most CHUNK_BYTES of items of
+    ``item_bytes``, and at least one item."""
+    step = max(1, CHUNK_BYTES // item_bytes)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) -> Tensor:
@@ -260,7 +255,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0.
     Each image's projections are viewed as (heads, rows, e / heads) stacks;
     backward keeps the projections and the softmax, nothing per head. The
-    scores of a stack are computed a few images at a time (_image_chunks).
+    scores of a stack are computed as many images at a time as fit CHUNK_BYTES;
+    an image's scores depend on that image alone, so chunking changes no result.
     """
     e = q.value.shape[-1]
     if e % heads != 0:
@@ -284,7 +280,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     parents = (*inputs, *weights, params.wo)
     qh, kh, vh = (split(x.value @ w.value) for x, w in zip(inputs, weights))
     s = qh.dtype.type(1.0 / np.sqrt(dh))
-    chunks = _image_chunks(qh, kh)
+    chunks = [slice(None)] if qh.ndim < 4 else batch_chunks(
+        qh.shape[0], qh.shape[-3] * qh.shape[-2] * kh.shape[-2] * qh.itemsize)
     heads_out = np.empty(qh.shape, qh.dtype)
     probs = np.empty((*qh.shape[:-1], kh.shape[-2]), qh.dtype) if _needs_grad(parents) else None
     for c in chunks:

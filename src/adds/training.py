@@ -9,7 +9,8 @@ set, and Adam updates the decoder and head.
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +27,7 @@ from .optim import AdamState, adam_step
 from .pyramid import build_plan, encode_and_stack, extract_tiles, resize_bilinear
 from .rng import SeedStreams
 from .supervision import AslConfig, asl_loss_node, cosine_baseline, select_labels
-from .tensor import Tensor, backward
+from .tensor import Tensor, backward, batch_chunks
 
 
 def default_lr(target_side: int) -> float:
@@ -70,11 +71,22 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and type(value) is not int:
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         for name in ("epochs", "batch_size", "n_train", "depth", "heads", "patch_size",
-                     "base_size"):
+                     "base_size", "embed_dim"):
             value = getattr(self, name)
             if value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if self.ffn_hidden < 0:
+            raise ConfigurationError(f"ffn_hidden must be >= 0, got {self.ffn_hidden}")
+        if not math.isfinite(self.lr):
+            raise ConfigurationError(f"lr must be finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigurationError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
         if self.lr < 0:
             self.lr = default_lr(self.image_side)
         if self.classes > MAX_CLASSES:
@@ -178,9 +190,19 @@ def label_queries(world, names, dtype=np.float64) -> np.ndarray:
     return np.stack(rows).astype(dtype)
 
 
+def encode_images(world, plan, images, dtype=np.float64) -> np.ndarray:
+    """Token rows of each of a sequence of images, (B, R, e). The tower takes
+    a stack at a time: as many images as fit CHUNK_BYTES of float64 tiles."""
+    tile_bytes = plan.tile_count() * plan.base_size**2 * 8
+    return np.concatenate([
+        encode_and_stack(extract_tiles(np.stack(images[c]), plan), plan,
+                         world.image_encoder).astype(dtype)
+        for c in batch_chunks(len(images), tile_bytes)])
+
+
 def encode_image(world, plan, image, dtype=np.float64) -> np.ndarray:
-    tiles = extract_tiles(image, plan)
-    return encode_and_stack(tiles, plan, world.image_encoder).astype(dtype)
+    """Token rows of one image, (R, e)."""
+    return encode_images(world, plan, [image], dtype)[0]
 
 
 def build_model(config: TrainConfig, streams: SeedStreams):
@@ -230,7 +252,7 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     # dataset is fixed per seed; draw it before any training randomness
     data_stream = streams.stream("data")
     samples = world.sample_many(data_stream, config.n_train, class_subset=seen_idx)
-    kv_all = np.stack([encode_image(world, plan, img, dtype) for img, _ in samples])
+    kv_all = encode_images(world, plan, [img for img, _ in samples], dtype)
     label_mat = np.stack([lab[seen_idx] for _, lab in samples])
 
     stack, head = build_model(config, streams)
@@ -336,6 +358,9 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
     Returns (scores n x |vocab|, labels, vocab names). ``vocab`` defaults to
     the seen classes of the training split; passing the full class list
     exercises the open-vocabulary path (unseen names are simply embedded).
+    One decoder forward takes as many images as fit CHUNK_BYTES of key/value
+    and query rows; an image's scores depend on that image alone, so neither
+    the chunking nor the training batch size changes a bit of them.
     """
     if n_eval < 1:
         raise ValueError(f"n_eval must be >= 1, got {n_eval}")
@@ -354,10 +379,12 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
 
     stream = SeedStreams(eval_seed).stream("eval_data")
     samples = world.sample_many(stream, n_eval, class_subset=class_subset)
+    images = [img for img, _ in samples]
+    kv_rows = plan.row_count(1 + world.image_encoder.n_patches)
+    image_bytes = (kv_rows + len(vocab)) * config.embed_dim * dtype.itemsize
     rows = []
-    for lo in range(0, len(samples), config.batch_size):
-        kv = np.stack([encode_image(world, plan, img, dtype)
-                       for img, _ in samples[lo : lo + config.batch_size]])
+    for c in batch_chunks(len(images), image_bytes):
+        kv = encode_images(world, plan, images[c], dtype)
         q = np.broadcast_to(q0, (len(kv), *q0.shape))
         probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
         rows.append(probs.value[..., 0])

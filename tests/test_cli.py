@@ -184,12 +184,25 @@ class TestTrainEval:
                                       "image_side = 16", "patch_size = 5",
                                       "patch_size = 0",
                                       "pyramid_levels = 7", "pyramid_levels = x",
-                                      "dtype = float16", "classes = 5000"])
+                                      "dtype = float16", "classes = 5000",
+                                      "embed_dim = 0", "ffn_hidden = -1",
+                                      "batch_size = 1.5", "n_seen = 2.5", "depth = true",
+                                      "lr = nan", "lr = inf", "weight_decay = -1",
+                                      "weight_decay = nan", "weight_decay = inf"])
     def test_invalid_config_exit_1(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CONFIG + line + "\n")
         code, _, err = run(capsys, "train", "--config", str(path),
                            "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "checkpoint.adds").exists()
+
+    @pytest.mark.parametrize("flag", ["--lr=nan", "--lr=-inf", "--weight-decay=-1",
+                                      "--weight-decay=nan"])
+    def test_invalid_optimiser_flag_exit_1(self, capsys, tmp_path, config_file, flag):
+        code, _, err = run(capsys, "train", "--config", str(config_file),
+                           "--out", str(tmp_path), flag)
         assert code == 1
         assert err.startswith("error:")
         assert not (tmp_path / "checkpoint.adds").exists()

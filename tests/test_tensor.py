@@ -260,7 +260,7 @@ class TestMultiHeadAttention:
             return [out.value, *(t.grad for t in leaves)]
 
         whole = run()
-        monkeypatch.setattr(tensor, "SCORE_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(tensor, "CHUNK_BYTES", chunk_bytes)
         chunked = run()
         assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 

@@ -4,11 +4,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from adds import training
+from adds import tensor, training
 from adds.checkpoint import load_checkpoint, save_checkpoint
+from adds.decoder import classify, stack_forward
 from adds.errors import ConfigurationError, NumericError
 from adds.metrics import MetricsReport, metrics_report
+from adds.pyramid import encode_and_stack, extract_tiles
 from adds.rng import SeedStreams
+from adds.tensor import Tensor
 from adds.training import (
     TrainConfig,
     build_model,
@@ -62,6 +65,9 @@ class TestTrainConfig:
         TrainConfig(classes=4900, n_seen=12)
         with pytest.raises(ConfigurationError, match="4900"):
             TrainConfig(classes=4901, n_seen=12)
+        # a numpy integer would not survive the JSON of hash() and checkpoints
+        with pytest.raises(ConfigurationError, match="integer"):
+            tiny_config(epochs=np.int64(2))
 
 
 class TestOpenVocabSplit:
@@ -326,3 +332,69 @@ class TestEvaluation:
         world = build_world(tiny_config())
         q = label_queries(world, world.class_names)
         np.testing.assert_allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-6)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestChunkedInference:
+    """A chunk of images per tower call and per decoder forward gives each
+    image's scores the bits of one call per image."""
+
+    @pytest.mark.parametrize("side, base", [(64, 32), (96, 40), (240, 32)])
+    @pytest.mark.parametrize("per_call", [1, 3, 7])
+    def test_stacked_tower_equals_per_image_loop(self, monkeypatch, side, base, per_call):
+        cfg = tiny_config(image_side=side, base_size=base, cls_only_non_bottom=side == 96)
+        world, plan = build_world(cfg), build_pyramid_plan(cfg)
+        images = [img for img, _ in world.sample_many(SeedStreams(3).stream("images"), 7)]
+        expect = np.stack([encode_and_stack(extract_tiles(img, plan), plan, world.image_encoder)
+                           for img in images])
+        stacks = []
+        encode_tiles = world.image_encoder.encode_tiles
+
+        def spy(tiles):
+            stacks.append(len(tiles) // plan.tile_count())
+            return encode_tiles(tiles)
+
+        monkeypatch.setattr(world.image_encoder, "encode_tiles", spy)
+        monkeypatch.setattr(tensor, "CHUNK_BYTES", per_call * plan.tile_count() * base**2 * 8)
+        assert _same_bits(training.encode_images(world, plan, images), expect)
+        assert stacks == [per_call] * (7 // per_call) + [7 % per_call] * (7 % per_call > 0)
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"dtype": "float64"}, {"kind": "baseline"},
+        {"image_side": 96, "base_size": 40, "cls_only_non_bottom": True},
+    ])
+    @pytest.mark.parametrize("per_forward", [1, 3, 7])
+    def test_scores_equal_one_forward_per_image(self, monkeypatch, overrides, per_forward):
+        ckpt = train(tiny_config(n_train=8, epochs=1, **overrides))
+        config, world, stack, head = training.restore_model(ckpt)
+        plan, dtype = build_pyramid_plan(config), config.np_dtype
+        q0 = label_queries(world, world.class_names, dtype)
+        samples = world.sample_many(SeedStreams(5).stream("eval_data"), 7)
+        expect = []
+        for img, _ in samples:
+            kv = encode_and_stack(extract_tiles(img, plan), plan, world.image_encoder)
+            q = stack_forward(Tensor(q0), Tensor(kv.astype(dtype)), stack)
+            expect.append(classify(q, head).value[:, 0])
+
+        forwards = []
+
+        def spy(q, kv, *args, **kwargs):
+            forwards.append(len(kv.value))
+            return stack_forward(q, kv, *args, **kwargs)
+
+        monkeypatch.setattr(training, "stack_forward", spy)
+        rows = plan.row_count(1 + world.image_encoder.n_patches) + len(world.class_names)
+        monkeypatch.setattr(tensor, "CHUNK_BYTES",
+                            per_forward * rows * config.embed_dim * dtype.itemsize)
+        scores = evaluation_scores(ckpt, vocab=world.class_names, n_eval=7, eval_seed=5)[0]
+        assert _same_bits(scores, np.stack(expect))
+        assert forwards == [per_forward] * (7 // per_forward) + [7 % per_forward] * (
+            7 % per_forward > 0)
+
+    def test_training_batch_size_does_not_change_scores(self, ckpt):
+        other = dataclasses.replace(ckpt, config={**ckpt.config, "batch_size": 3})
+        assert _same_bits(evaluation_scores(ckpt, n_eval=10)[0],
+                          evaluation_scores(other, n_eval=10)[0])
