@@ -8,8 +8,8 @@ Library layout:
   stacked decoder, and the shared per-class head.
 - ``pyramid``: multi-level tile plans, bilinear resize, tile extraction,
   token stacking, and the compute-cost report.
-- ``encoders``: frozen toy image/text towers, prompt templates, the synthetic
-  aligned world, and the embedding file format.
+- ``encoders``: frozen toy image/text towers, prompt templates, and the
+  synthetic aligned world.
 - ``supervision``: selective label sampling, the asymmetric loss, and the
   cosine-threshold baseline.
 - ``training`` / ``metrics`` / ``checkpoint``: the training loop, mAP / F1@k

@@ -162,7 +162,6 @@ def load_checkpoint(path) -> Checkpoint:
             raise FormatError(f"blob {n!r} and its Adam moments differ in shape")
     return Checkpoint(
         config=config,
-        config_hash=hashlib.sha256(config_json).hexdigest(),
         epoch=meta["epoch"],
         weights={n: blobs[n] for n in weights},
         opt_m={n: blobs[f"opt.m.{n}"] for n in weights},

@@ -197,7 +197,7 @@ def cmd_train(args) -> int:
             cfg_dict = TrainConfig.from_dict(cfg_dict).to_dict()
             timestamp = _now()
         config = TrainConfig.from_dict(cfg_dict)
-    except (ConfigurationError, FormatError, TypeError, FileNotFoundError) as exc:
+    except (ConfigurationError, FormatError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -252,7 +252,7 @@ def cmd_eval(args) -> int:
             }
             timestamp = _now()
         ckpt = load_checkpoint(settings["checkpoint"])
-    except (FormatError, FileNotFoundError) as exc:
+    except (FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -209,16 +209,6 @@ def init_head(stream, e, dtype=np.float64) -> ClassifierHead:
 # forward
 
 
-def _check_qkv(q, k, v):
-    if not (q.shape[-1] == k.shape[-1] == v.shape[-1]):
-        raise ShapeError(
-            f"q/k/v column counts differ: {q.shape}, {k.shape}, {v.shape}"
-        )
-    if k.shape[:-1] != v.shape[:-1] or q.shape[:-2] != k.shape[:-2]:
-        raise ShapeError(f"q/k/v image or k/v row counts differ: "
-                         f"{q.shape}, {k.shape}, {v.shape}")
-
-
 def _query_path(q, k, v, params, heads, noise):
     """The shared first half of both block kinds: pre-norm, cross-attention,
     feed-forward, each with residual add-and-norm. Returns the refined summary."""
@@ -242,7 +232,6 @@ def dm_block_forward(q, k, v, params, heads, noise=None, refresh_kv=True):
     branch is skipped and k, v pass through: the last block's refreshed
     keys/values would feed nothing.
     """
-    _check_qkv(q, k, v)
     ln = params.norms
     q5 = _query_path(q, k, v, params, heads, noise)
     q_out = layer_norm(add(q5, q), ln["q_out"].gain, ln["q_out"].bias, LAYER_NORM_EPS)
@@ -255,7 +244,6 @@ def dm_block_forward(q, k, v, params, heads, noise=None, refresh_kv=True):
 
 def baseline_block_forward(q, k, v, params, heads, noise=None):
     """Single-direction block: query path only, keys/values pass through."""
-    _check_qkv(q, k, v)
     q5 = _query_path(q, k, v, params, heads, noise)
     return q5, k, v
 

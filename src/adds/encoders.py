@@ -9,16 +9,12 @@ exactly true by construction and can be tested rather than presumed.
 """
 
 import hashlib
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .atomic import atomic_open
-from .errors import ConfigurationError, FormatError, ShapeError
+from .errors import ConfigurationError, ShapeError
 from .rng import SeedStreams
-
-EMBEDDING_MAGIC = b"ADDSEMB1"
 
 DEFAULT_PROMPTS = ("This photo contains {}", "This is a {} photo")
 
@@ -77,10 +73,6 @@ class FrozenImageEncoder:
         tokens = self.mix @ (patches @ self.proj)
         cls = tokens.mean(axis=1, keepdims=True)
         return np.concatenate([cls, tokens], axis=1)
-
-    def encode_tile(self, tile: np.ndarray) -> np.ndarray:
-        """Tokens for one base-sized tile: row 0 is CLS, rows 1..p are patches."""
-        return self.encode_tiles(tile[None])[0]
 
 
 class FrozenTextEncoder:
@@ -290,57 +282,3 @@ def make_synthetic_world(
         )
     world.text_encoder = FrozenTextEncoder(embed_dim, table, seed=seed)
     return world
-
-
-# ---------------------------------------------------------------------------
-# embedding file format
-
-
-def export_embeddings(path, table: dict[str, np.ndarray]) -> None:
-    """Write a label -> vector table, replacing ``path`` whole; see
-    import_embeddings for the layout."""
-    dims = {len(np.asarray(v).reshape(-1)) for v in table.values()}
-    if len(dims) > 1:
-        raise FormatError(f"vectors have mixed dimensions: {sorted(dims)}")
-    e = dims.pop() if dims else 0
-    with atomic_open(path, "wb") as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<II", len(table), e))
-        for label, vec in table.items():
-            raw = label.encode("utf-8")
-            fh.write(struct.pack("<H", len(raw)))
-            fh.write(raw)
-            fh.write(np.asarray(vec, dtype="<f4").tobytes())
-
-
-def import_embeddings(path):
-    """Read the table back; returns (dict label -> float32 vector, dim)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:8] != EMBEDDING_MAGIC:
-        raise FormatError(f"bad magic {data[:8]!r}, expected {EMBEDDING_MAGIC!r}")
-    if len(data) < 16:
-        raise FormatError("truncated header")
-    count, e = struct.unpack_from("<II", data, 8)
-    pos = 16
-    table = {}
-    for row in range(count):
-        if pos + 2 > len(data):
-            raise FormatError(f"row {row}: truncated label length")
-        (label_len,) = struct.unpack_from("<H", data, pos)
-        pos += 2
-        if pos + label_len + 4 * e > len(data):
-            raise FormatError(f"row {row}: record shorter than dim {e}")
-        try:
-            label = data[pos:pos + label_len].decode("utf-8")
-        except UnicodeDecodeError:
-            raise FormatError(f"row {row}: label is not valid UTF-8") from None
-        if label in table:
-            raise FormatError(f"row {row}: duplicate label {label!r}")
-        pos += label_len
-        vec = np.frombuffer(data[pos:pos + 4 * e], dtype="<f4").copy()
-        pos += 4 * e
-        table[label] = vec
-    if pos != len(data):
-        raise FormatError(f"{len(data) - pos} trailing bytes after row {count - 1}")
-    return table, e

@@ -10,7 +10,7 @@ class ConfigurationError(ValueError):
 
 
 class FormatError(ValueError):
-    """A serialized artifact (checkpoint, embedding file) is malformed."""
+    """A serialized artifact (checkpoint, run manifest) is malformed."""
 
 
 class NumericError(FloatingPointError):

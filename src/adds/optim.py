@@ -126,10 +126,10 @@ def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
     ]
 
     max_rel = 0.0
-    for p, a in zip(params, analytic):
+    for i, (p, a) in enumerate(zip(params, analytic)):
         if not p.trainable:
             if np.any(a != 0):
-                raise AssertionError(f"frozen param {p.name} has nonzero gradient")
+                raise AssertionError(f"frozen params[{i}] has a nonzero gradient")
             continue
         flat = p.value.reshape(-1)
         for j in range(flat.size):

@@ -29,13 +29,12 @@ class Tensor:
     gradient (frozen-parameter contract).
     """
 
-    __slots__ = ("value", "grad", "trainable", "name", "_parents", "_backward")
+    __slots__ = ("value", "grad", "trainable", "_parents", "_backward")
 
-    def __init__(self, value, trainable=False, name=None, _parents=(), _backward=None):
+    def __init__(self, value, trainable=False, _parents=(), _backward=None):
         self.value = np.atleast_2d(np.asarray(value))
         self.grad = None
         self.trainable = trainable
-        self.name = name
         self._parents = _parents
         self._backward = _backward
 
@@ -44,12 +43,11 @@ class Tensor:
         return self.value.shape
 
     def __repr__(self):
-        tag = self.name or "tensor"
-        return f"Tensor({tag}, shape={self.value.shape}, trainable={self.trainable})"
+        return f"Tensor(shape={self.value.shape}, trainable={self.trainable})"
 
 
-def param(value, name=None, trainable=True) -> Tensor:
-    return Tensor(np.array(value), trainable=trainable, name=name)
+def param(value, trainable=True) -> Tensor:
+    return Tensor(np.array(value), trainable=trainable)
 
 
 def _needs_grad(parents) -> bool:
@@ -252,7 +250,8 @@ def batch_chunks(n: int, item_bytes: int) -> list:
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) -> Tensor:
     """Scaled dot-product attention over all heads as one graph node.
 
-    ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0.
+    ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0,
+    k and v of the same rows, and q, k, v of the same image count.
     Each image's projections are viewed as (heads, rows, e / heads) stacks;
     backward keeps the projections and the softmax, nothing per head. The
     scores of a stack are computed as many images at a time as fit CHUNK_BYTES;
@@ -266,6 +265,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
         raise ShapeError(f"attention: column counts differ, {shapes}")
     if not q.value.ndim == k.value.ndim == v.value.ndim:
         raise ShapeError(f"attention: {shapes} must all be one image or all stacks")
+    if k.value.shape[:-1] != v.value.shape[:-1] or q.value.shape[:-2] != k.value.shape[:-2]:
+        raise ShapeError(f"attention: image counts or k/v row counts differ, {shapes}")
     dh = e // heads
 
     def split(x):  # (..., rows, e) -> (..., heads, rows, dh)

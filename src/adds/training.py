@@ -24,7 +24,7 @@ from .encoders import (
 )
 from .errors import ConfigurationError, NumericError
 from .optim import AdamState, adam_step
-from .pyramid import build_plan, encode_and_stack, extract_tiles, resize_bilinear
+from .pyramid import build_plan, encode_and_stack, extract_tiles
 from .rng import SeedStreams
 from .supervision import AslConfig, asl_loss_node, cosine_baseline, select_labels
 from .tensor import Tensor, backward, batch_chunks
@@ -84,9 +84,10 @@ class TrainConfig:
             raise ConfigurationError(f"ffn_hidden must be >= 0, got {self.ffn_hidden}")
         if not math.isfinite(self.lr):
             raise ConfigurationError(f"lr must be finite, got {self.lr}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ConfigurationError(
-                f"weight_decay must be finite and >= 0, got {self.weight_decay}")
+        for name in ("weight_decay", "noise_std"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
         if self.lr < 0:
             self.lr = default_lr(self.image_side)
         if self.classes > MAX_CLASSES:
@@ -140,7 +141,6 @@ class TrainConfig:
 @dataclass
 class Checkpoint:
     config: dict
-    config_hash: str
     epoch: int
     weights: dict  # name -> ndarray
     opt_m: dict
@@ -309,7 +309,6 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
 
     return Checkpoint(
         config=config.to_dict(),
-        config_hash=config.hash(),
         epoch=config.epochs,
         weights={name: t.value.copy() for name, t in params},
         opt_m={name: m.copy() for (name, _), m in zip(params, state.m)},
@@ -351,8 +350,7 @@ def restore_model(ckpt: Checkpoint):
     return config, world, stack, head
 
 
-def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
-                      class_subset=None):
+def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234):
     """Sample a fresh evaluation set from the checkpoint's world and score it.
 
     Returns (scores n x |vocab|, labels, vocab names). ``vocab`` defaults to
@@ -378,7 +376,7 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234,
     q0 = label_queries(world, vocab, dtype)
 
     stream = SeedStreams(eval_seed).stream("eval_data")
-    samples = world.sample_many(stream, n_eval, class_subset=class_subset)
+    samples = world.sample_many(stream, n_eval)
     images = [img for img, _ in samples]
     kv_rows = plan.row_count(1 + world.image_encoder.n_patches)
     image_bytes = (kv_rows + len(vocab)) * config.embed_dim * dtype.itemsize
@@ -397,9 +395,6 @@ def cosine_baseline_scores(world, images, vocab) -> np.ndarray:
     (level-0 view: the whole image resized to the encoder's base size) against
     every prompted label embedding."""
     q = label_queries(world, vocab)
-    rows = []
-    for img in images:
-        cls = world.image_encoder.encode_tile(resize_bilinear(img, world.base_size))[0]
-        scores, _ = cosine_baseline(cls, q)
-        rows.append(scores)
-    return np.stack(rows)
+    plan = build_plan(world.base_size, world.image_side, selected_levels=[0])
+    cls = encode_images(world, plan, images)[:, 0]
+    return np.stack([cosine_baseline(c, q)[0] for c in cls])

@@ -33,7 +33,6 @@ class TestRoundtrip:
         save_checkpoint(ckpt, path)
         loaded = load_checkpoint(path)
         assert loaded.config == ckpt.config
-        assert loaded.config_hash == ckpt.config_hash
         assert loaded.epoch == ckpt.epoch
         assert loaded.opt_step == ckpt.opt_step
         assert loaded.loss_history == ckpt.loss_history

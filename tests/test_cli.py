@@ -177,6 +177,14 @@ class TestTrainEval:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("command, flag", [("train", "--config"),
+                                               ("eval", "--checkpoint")])
+    def test_directory_argument_exit_1(self, capsys, tmp_path, command, flag):
+        code, _, err = run(capsys, command, flag, str(tmp_path), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("line", ["batch_size = 0", "n_train = 0", "n_seen = 8",
                                       "kind = mystery", "heads = 3", "heads = 0",
                                       "depth = 0", "dropout = 1.0", "dropout = -0.5",
@@ -188,7 +196,9 @@ class TestTrainEval:
                                       "embed_dim = 0", "ffn_hidden = -1",
                                       "batch_size = 1.5", "n_seen = 2.5", "depth = true",
                                       "lr = nan", "lr = inf", "weight_decay = -1",
-                                      "weight_decay = nan", "weight_decay = inf"])
+                                      "weight_decay = nan", "weight_decay = inf",
+                                      "noise_std = nan", "noise_std = inf",
+                                      "noise_std = -1"])
     def test_invalid_config_exit_1(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CONFIG + line + "\n")
@@ -208,7 +218,8 @@ class TestTrainEval:
         assert not (tmp_path / "checkpoint.adds").exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    @pytest.mark.parametrize("defect", ["truncated", "no_timestamp", "not_object"])
+    @pytest.mark.parametrize("defect", ["truncated", "no_timestamp", "not_object",
+                                        "directory"])
     def test_bad_manifest_exit_1(self, capsys, tmp_path, config_file, command, defect):
         assert run(capsys, "train", "--config", str(config_file),
                    "--out", str(tmp_path))[0] == 0
@@ -218,9 +229,12 @@ class TestTrainEval:
         text = (tmp_path / "run_manifest.json").read_text()
         manifest = json.loads(text)
         path = tmp_path / "bad_manifest.json"
-        path.write_text({"truncated": text[: len(text) // 2],
-                         "no_timestamp": json.dumps({"config": manifest["config"]}),
-                         "not_object": json.dumps([manifest])}[defect])
+        if defect == "directory":
+            path.mkdir()
+        else:
+            path.write_text({"truncated": text[: len(text) // 2],
+                             "no_timestamp": json.dumps({"config": manifest["config"]}),
+                             "not_object": json.dumps([manifest])}[defect])
         code, _, err = run(capsys, command, "--manifest", str(path),
                            "--out", str(tmp_path / "rerun"))
         assert code == 1

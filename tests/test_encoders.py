@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 
 from adds.encoders import (
     DEFAULT_PROMPTS,
-    EMBEDDING_MAGIC,
     FrozenImageEncoder,
     FrozenTextEncoder,
     PromptTemplate,
     embed_label,
-    export_embeddings,
-    import_embeddings,
     make_synthetic_world,
 )
-from adds.errors import ConfigurationError, FormatError, ShapeError
+from adds.errors import ConfigurationError, ShapeError
 from adds.rng import SeedStreams
 
 
@@ -50,13 +47,13 @@ class TestPromptTemplate:
 class TestFrozenImageEncoder:
     def test_token_shape(self):
         enc = make_encoder()
-        tokens = enc.encode_tile(np.zeros((16, 16)))
-        assert tokens.shape == (16 + 1, 6)  # (16/4)^2 patches + CLS
+        tokens = enc.encode_tiles(np.zeros((1, 16, 16)))
+        assert tokens.shape == (1, 16 + 1, 6)  # (16/4)^2 patches + CLS
 
     def test_cls_is_mean_of_tokens(self):
         enc = make_encoder(1)
         tile = SeedStreams(2).stream("tile").standard_normal((16, 16))
-        tokens = enc.encode_tile(tile)
+        tokens = enc.encode_tiles(tile[None])[0]
         np.testing.assert_allclose(tokens[0], tokens[1:].mean(axis=0), atol=1e-12)
 
     def test_linearity(self):
@@ -64,16 +61,13 @@ class TestFrozenImageEncoder:
         g = SeedStreams(4).stream("tiles")
         a = g.standard_normal((16, 16))
         b = g.standard_normal((16, 16))
-        np.testing.assert_allclose(
-            enc.encode_tile(a + b),
-            enc.encode_tile(a) + enc.encode_tile(b),
-            atol=1e-10,
-        )
+        tokens = enc.encode_tiles(np.stack([a + b, a, b]))
+        np.testing.assert_allclose(tokens[0], tokens[1] + tokens[2], atol=1e-10)
 
     def test_weights_frozen_and_hash_stable(self):
         enc = make_encoder(5)
         proj, mix = enc.proj.copy(), enc.mix.copy()
-        enc.encode_tile(np.ones((16, 16)))
+        enc.encode_tiles(np.ones((1, 16, 16)))
         np.testing.assert_array_equal(enc.proj, proj)
         np.testing.assert_array_equal(enc.mix, mix)
         with pytest.raises(ValueError):
@@ -88,7 +82,7 @@ class TestFrozenImageEncoder:
 
     def test_wrong_tile_shape(self):
         with pytest.raises(ShapeError):
-            make_encoder().encode_tile(np.zeros((8, 8)))
+            make_encoder().encode_tiles(np.zeros((1, 8, 8)))
         with pytest.raises(ShapeError):
             make_encoder().encode_tiles(np.zeros((16, 16)))
 
@@ -100,7 +94,7 @@ class TestFrozenImageEncoder:
         tokens = enc.encode_tiles(tiles)
         assert tokens.shape == (85, 17, 16) and tokens.dtype == dtype
         np.testing.assert_array_equal(tokens, [encode_tile_loop(enc, t) for t in tiles])
-        np.testing.assert_array_equal(enc.encode_tile(tiles[3]), tokens[3])
+        np.testing.assert_array_equal(enc.encode_tiles(tiles[3:4])[0], tokens[3])
 
     def test_patch_divisibility(self):
         with pytest.raises(ConfigurationError):
@@ -263,7 +257,7 @@ class TestSyntheticWorld:
         # image encoder on that class's signature tile
         world = self._world()
         for i, name in enumerate(world.class_names):
-            cls = world.image_encoder.encode_tile(world.signature_tile(i))[0]
+            cls = world.image_encoder.encode_tiles(world.signature_tile(i)[None])[0, 0]
             np.testing.assert_allclose(
                 world.text_encoder.class_vectors[name],
                 cls / np.linalg.norm(cls),
@@ -283,104 +277,3 @@ class TestSyntheticWorld:
         with pytest.raises(ConfigurationError):
             self._world(image_side=30)
 
-
-class TestEmbeddingFile:
-    def _table(self):
-        g = SeedStreams(4).stream("vecs")
-        return {name: g.standard_normal(5).astype(np.float32)
-                for name in ("ab", "cd", "longer-label")}
-
-    def test_roundtrip(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        table = self._table()
-        export_embeddings(path, table)
-        loaded, dim = import_embeddings(path)
-        assert dim == 5
-        assert list(loaded) == list(table)
-        for name in table:
-            np.testing.assert_array_equal(loaded[name], table[name])
-
-    def test_known_bytes(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        export_embeddings(path, {"abc": np.array([1.0, -2.0], dtype=np.float32)})
-        data = path.read_bytes()
-        expected = (
-            EMBEDDING_MAGIC
-            + (1).to_bytes(4, "little")
-            + (2).to_bytes(4, "little")
-            + (3).to_bytes(2, "little")
-            + b"abc"
-            + np.array([1.0, -2.0], dtype="<f4").tobytes()
-        )
-        assert data == expected
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        path.write_bytes(b"NOTMAGIC" + b"\x00" * 8)
-        with pytest.raises(FormatError, match="magic"):
-            import_embeddings(path)
-
-    def test_truncated_record(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        export_embeddings(path, self._table())
-        path.write_bytes(path.read_bytes()[:-3])
-        with pytest.raises(FormatError, match="row"):
-            import_embeddings(path)
-
-    def test_trailing_bytes(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        export_embeddings(path, self._table())
-        path.write_bytes(path.read_bytes() + b"xx")
-        with pytest.raises(FormatError, match="trailing"):
-            import_embeddings(path)
-
-    def test_non_utf8_label_is_format_error(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        export_embeddings(path, {"ab": np.zeros(2, dtype=np.float32)})
-        path.write_bytes(path.read_bytes().replace(b"ab", b"\xffb"))
-        with pytest.raises(FormatError, match="UTF-8"):
-            import_embeddings(path)
-
-    def test_duplicate_label_is_format_error(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        export_embeddings(path, {"ab": np.zeros(2, dtype=np.float32),
-                                 "cd": np.ones(2, dtype=np.float32)})
-        path.write_bytes(path.read_bytes().replace(b"cd", b"ab"))
-        with pytest.raises(FormatError, match="duplicate"):
-            import_embeddings(path)
-
-    @given(data=st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_fuzzed_file_fails_cleanly_or_round_trips(self, tmp_path_factory, data):
-        path = tmp_path_factory.mktemp("fuzz") / "emb.bin"
-        export_embeddings(path, self._table())
-        raw = bytearray(path.read_bytes())
-        if data.draw(st.booleans(), label="truncate"):
-            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
-        else:
-            for _ in range(data.draw(st.integers(1, 3), label="edits")):
-                at = data.draw(st.integers(0, len(raw) - 1), label="at")
-                raw[at] = data.draw(st.integers(0, 255), label="byte")
-        path.write_bytes(bytes(raw))
-        try:
-            table, _ = import_embeddings(path)
-        except FormatError:
-            return
-        export_embeddings(path, table)
-        assert path.read_bytes() == bytes(raw)
-
-    def test_failed_export_leaves_old_file(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        export_embeddings(path, self._table())
-        before = path.read_bytes()
-        # the second label cannot be encoded, after the first row is written
-        bad = {"ab": np.zeros(5, dtype=np.float32), "\ud800": np.ones(5, dtype=np.float32)}
-        with pytest.raises(UnicodeEncodeError):
-            export_embeddings(path, bad)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["emb.bin"]
-
-    def test_mixed_dims_rejected(self, tmp_path):
-        with pytest.raises(FormatError):
-            export_embeddings(tmp_path / "e.bin",
-                              {"a": np.zeros(3), "b": np.zeros(4)})

@@ -204,6 +204,17 @@ class TestGradCheck:
 
         assert grad_check(loss_fn, [used, unused]) < 1e-8
 
+    def test_frozen_param_with_gradient_named_by_position(self):
+        used = param(rng(11).standard_normal((2, 2)))
+        frozen = param(rng(12).standard_normal((2, 2)), trainable=False)
+        frozen.grad = np.ones((2, 2))  # left over from another graph
+
+        def loss_fn():
+            return mean_all(mul(used, used))
+
+        with pytest.raises(AssertionError, match=r"params\[1\]"):
+            grad_check(loss_fn, [used, frozen])
+
     def test_nonfinite_loss_raises(self):
         theta = param(np.array([[np.inf]]))
 

@@ -189,6 +189,16 @@ class TestMultiHeadAttention:
             expected[i] = attended @ ws[3]
         np.testing.assert_allclose(out.value, expected, atol=1e-10)
 
+    @pytest.mark.parametrize("shapes", [
+        ((2, 3, 4), (1, 5, 4), (1, 5, 4)),  # 2 query images, 1 key/value image
+        ((3, 4), (5, 4), (6, 4)),  # k and v of different rows
+    ])
+    def test_shape_contract(self, shapes):
+        g = rng(5)
+        with pytest.raises(ShapeError):
+            multi_head_attention(*(Tensor(g.standard_normal(s)) for s in shapes),
+                                 identity_attention(4), heads=1)
+
     def test_heads_must_divide(self):
         g = rng(0)
         with pytest.raises(ConfigurationError):

@@ -9,8 +9,9 @@ from adds.checkpoint import load_checkpoint, save_checkpoint
 from adds.decoder import classify, stack_forward
 from adds.errors import ConfigurationError, NumericError
 from adds.metrics import MetricsReport, metrics_report
-from adds.pyramid import encode_and_stack, extract_tiles
+from adds.pyramid import encode_and_stack, extract_tiles, resize_bilinear
 from adds.rng import SeedStreams
+from adds.supervision import cosine_baseline
 from adds.tensor import Tensor
 from adds.training import (
     TrainConfig,
@@ -68,6 +69,9 @@ class TestTrainConfig:
         # a numpy integer would not survive the JSON of hash() and checkpoints
         with pytest.raises(ConfigurationError, match="integer"):
             tiny_config(epochs=np.int64(2))
+        for noise in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ConfigurationError, match="noise_std"):
+                tiny_config(noise_std=noise)
 
 
 class TestOpenVocabSplit:
@@ -99,7 +103,6 @@ class TestTrain:
         ck = train(cfg)
         assert ck.epoch == cfg.epochs
         assert len(ck.loss_history) == cfg.epochs
-        assert ck.config_hash == cfg.hash()
         assert set(ck.weights) == set(ck.opt_m) == set(ck.opt_v)
         assert any(n.startswith("decoder.block0.") for n in ck.weights)
         assert "head.w" in ck.weights
@@ -393,6 +396,19 @@ class TestChunkedInference:
         assert _same_bits(scores, np.stack(expect))
         assert forwards == [per_forward] * (7 // per_forward) + [7 % per_forward] * (
             7 % per_forward > 0)
+
+    @pytest.mark.parametrize("side, base", [(64, 32), (96, 40), (240, 32)])
+    def test_cosine_baseline_equals_per_image_loop(self, monkeypatch, side, base):
+        # level 0 through the chunked tower, 3 images a call, is the whole
+        # image resized to the base size and encoded alone
+        world = build_world(tiny_config(image_side=side, base_size=base))
+        images = [img for img, _ in world.sample_many(SeedStreams(4).stream("images"), 7)]
+        q = label_queries(world, world.class_names)
+        expect = [cosine_baseline(world.image_encoder.encode_tiles(
+            resize_bilinear(img, base)[None])[0, 0], q)[0] for img in images]
+        monkeypatch.setattr(tensor, "CHUNK_BYTES", 3 * base**2 * 8)
+        assert _same_bits(cosine_baseline_scores(world, images, world.class_names),
+                          np.stack(expect))
 
     def test_training_batch_size_does_not_change_scores(self, ckpt):
         other = dataclasses.replace(ckpt, config={**ckpt.config, "batch_size": 3})
