@@ -75,6 +75,18 @@ class FrozenImageEncoder:
         return np.concatenate([cls, tokens], axis=1)
 
 
+def _row_norms(m: np.ndarray) -> np.ndarray:
+    """The norm of each row of ``m``, taken as ``np.linalg.norm`` takes a 1-D
+    norm: the dot of the row with itself. ``norm(m, axis=1)``, einsum
+    and ``(m * m).sum(1)`` add in other orders and may differ in the last bit."""
+    return np.sqrt([row.dot(row) for row in m])
+
+
+def _unit_rows(m: np.ndarray) -> np.ndarray:
+    """Each row of ``m`` over its norm: the bits of ``v / np.linalg.norm(v)``."""
+    return m / _row_norms(m)[:, None]
+
+
 class FrozenTextEncoder:
     """Deterministic text embedding over a fixed class-vector table.
 
@@ -91,12 +103,23 @@ class FrozenTextEncoder:
         self.seed = seed
         self.jitter = jitter
         self._rank = {name: i for i, name in enumerate(self.class_vectors)}
+        self._names = list(self.class_vectors)
         self._lengths = sorted({len(name) for name in self.class_vectors}, reverse=True)
-        self._philox = np.random.Philox(0)  # re-keyed by every _hash_vector call
+        self._philox = np.random.Philox(0)  # re-keyed for every string encoded
         self._gen = np.random.Generator(self._philox)
+        # the state Philox(key=...) starts in; _hash_draw sets only the key
+        self._fresh_state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, np.uint64), "key": None},
+            "buffer": np.zeros(4, np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
-    def _hash_vector(self, text: str) -> np.ndarray:
-        """Unit normal draw from a Philox stream keyed by the string's digest.
+    def _hash_draw(self, text: str, out: np.ndarray) -> None:
+        """Fill ``out`` with normal draws from a Philox stream keyed by the
+        string's digest.
 
         One generator is re-keyed per string, to the state that
         ``Philox(key=words)`` starts in; it converts ``words`` the same way.
@@ -106,17 +129,9 @@ class FrozenTextEncoder:
         """
         digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
         words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 16, 8)]
-        self._philox.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, np.uint64),
-                      "key": np.asarray(words).astype(np.uint64)},
-            "buffer": np.zeros(4, np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        v = self._gen.standard_normal(self.embed_dim)
-        return v / np.linalg.norm(v)
+        self._fresh_state["state"]["key"] = np.asarray(words).astype(np.uint64)
+        self._philox.state = self._fresh_state
+        self._gen.standard_normal(out=out)
 
     def class_name_in(self, text: str) -> str | None:
         """The longest class name that occurs in ``text``, the first in table
@@ -125,31 +140,51 @@ class FrozenTextEncoder:
         Looks up the text's substrings of each name length, longest first,
         so the cost grows with the text, not with the number of classes.
         """
+        get = self._rank.get
         for n in self._lengths:
-            found = self._rank.keys() & {text[i:i + n] for i in range(len(text) - n + 1)}
-            if found:
-                return min(found, key=self._rank.__getitem__)
+            ranks = [r for i in range(len(text) - n + 1)
+                     if (r := get(text[i:i + n])) is not None]
+            if ranks:
+                return self._names[min(ranks)]
         return None
+
+    def encode_texts(self, texts) -> np.ndarray:
+        """Unit-norm embedding of each of a sequence of strings, (n, e). A
+        string's row has the same bits in any sequence, one of one included."""
+        draws = np.empty((len(texts), self.embed_dim))
+        known, rows = [], []
+        for i, text in enumerate(texts):
+            self._hash_draw(text, draws[i])
+            name = self.class_name_in(text)
+            if name is not None:
+                known.append(i)
+                rows.append(self.class_vectors[name])
+        v = _unit_rows(draws)
+        if known:
+            v[known] = np.array(rows) + self.jitter * v[known]
+        return _unit_rows(v)
 
     def encode_text(self, text: str) -> np.ndarray:
         """Unit-norm embedding of one string."""
-        name = self.class_name_in(text)
-        if name is not None:
-            v = self.class_vectors[name] + self.jitter * self._hash_vector(text)
-        else:
-            v = self._hash_vector(text)
-        return v / np.linalg.norm(v)
+        return self.encode_texts([text])[0]
+
+
+def embed_labels(names, templates, encoder: FrozenTextEncoder) -> np.ndarray:
+    """Per name, the average of the embeddings of every prompted form,
+    renormalized to unit norm; (k, e). All prompts go through one
+    ``encode_texts`` call."""
+    if not all(names):
+        raise ValueError("class name must be non-empty")
+    if not templates:
+        raise ConfigurationError("at least one prompt template is required")
+    texts = [t.fill(name) for name in names for t in templates]
+    vecs = encoder.encode_texts(texts).reshape(len(names), len(templates), encoder.embed_dim)
+    return _unit_rows(vecs.mean(axis=1))
 
 
 def embed_label(class_name: str, templates, encoder: FrozenTextEncoder) -> np.ndarray:
     """Average the embeddings of every prompted form, renormalized to unit norm."""
-    if not class_name:
-        raise ValueError("class name must be non-empty")
-    if not templates:
-        raise ConfigurationError("at least one prompt template is required")
-    vecs = [encoder.encode_text(t.fill(class_name)) for t in templates]
-    mean = np.mean(vecs, axis=0)
-    return mean / np.linalg.norm(mean)
+    return embed_labels([class_name], templates, encoder)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +226,6 @@ class SyntheticWorld:
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
-
-    def signature_tile(self, class_index: int) -> np.ndarray:
-        tile = np.zeros((self.base_size, self.base_size))
-        p = self.patch_size
-        tile[:p, :p] = self.signatures[class_index]
-        return tile
 
     def sample(self, stream, class_subset=None):
         """One (image, binary label vector) pair with 1..max_planted classes."""
@@ -262,17 +291,17 @@ def make_synthetic_world(
         ],
     )
     # a chunk at a time bounds the intermediates of a large vocabulary
-    cls_rows = []
+    cls = np.empty((k, embed_dim))
     for lo in range(0, k, SIGNATURE_CHUNK):
-        tiles = [world.signature_tile(i) for i in range(lo, min(lo + SIGNATURE_CHUNK, k))]
-        cls_rows.extend(encoder.encode_tiles(np.stack(tiles))[:, 0])
-    table = {}
-    for name, cls in zip(names, cls_rows):
-        norm = np.linalg.norm(cls)
-        if norm == 0:
-            raise ConfigurationError(f"class {name} has a zero signature response")
-        table[name] = cls / norm
-    responses = np.stack(list(table.values()))
+        sigs = signatures[lo:lo + SIGNATURE_CHUNK]
+        tiles = np.zeros((len(sigs), base_size, base_size))
+        tiles[:, :patch_size, :patch_size] = sigs
+        cls[lo:lo + len(sigs)] = encoder.encode_tiles(tiles)[:, 0]
+    norms = _row_norms(cls)
+    if not norms.all():
+        raise ConfigurationError(
+            f"class {names[int(np.argmin(norms))]} has a zero signature response")
+    responses = cls / norms[:, None]
     cos = responses @ responses.T
     np.fill_diagonal(cos, 0.0)
     if cos.max() > 0.95:
@@ -280,5 +309,6 @@ def make_synthetic_world(
             f"{k} classes are not separable at patch size {patch_size} "
             f"(max signature cosine {cos.max():.3f})"
         )
+    table = dict(zip(names, responses))
     world.text_encoder = FrozenTextEncoder(embed_dim, table, seed=seed)
     return world

@@ -14,15 +14,8 @@ class MetricsReport:
     n_samples: int
 
 
-def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    """AP of one class: mean precision at the rank of each positive.
-
-    Ranking is by descending score; ties break by ascending sample index.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    order = np.lexsort((np.arange(scores.size), -scores))
-    ranked = labels[order]
+def _precision_at_positives(ranked: np.ndarray) -> float:
+    """AP of one ranked label column: mean precision at the rank of each positive."""
     pos_ranks = np.flatnonzero(ranked == 1)
     if pos_ranks.size == 0:
         raise ValueError("class has no positive instance")
@@ -31,21 +24,36 @@ def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(precision_at_pos.mean())
 
 
+def _rank(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Labels reordered by descending score along axis 0; ties keep sample order."""
+    order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=0, kind="stable")
+    return np.take_along_axis(np.asarray(labels), order, axis=0)
+
+
+def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
+    """AP of one class: mean precision at the rank of each positive.
+
+    Ranking is by descending score; ties break by ascending sample index.
+    """
+    return _precision_at_positives(_rank(scores, labels))
+
+
 def mean_average_precision(scores: np.ndarray, labels: np.ndarray):
     """mAP over classes with at least one positive.
 
     ``scores`` and ``labels`` are n_images x n_classes. Returns
-    (mAP, {class: AP}, [skipped classes]).
+    (mAP, {class: AP}, [skipped classes]). One sort ranks every class.
     """
     scores = np.atleast_2d(scores)
     labels = np.atleast_2d(labels)
+    ranked = _rank(scores, labels)
     per_class = {}
     skipped = []
-    for c in range(labels.shape[1]):
-        if labels[:, c].sum() == 0:
+    for c, n_pos in enumerate(labels.sum(axis=0)):
+        if n_pos == 0:
             skipped.append(c)
             continue
-        per_class[c] = average_precision(scores[:, c], labels[:, c])
+        per_class[c] = _precision_at_positives(ranked[:, c])
     if not per_class:
         return 0.0, per_class, skipped
     return float(np.mean(list(per_class.values()))), per_class, skipped

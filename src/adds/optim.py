@@ -117,9 +117,12 @@ def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
     loss = loss_fn()
     if not np.isfinite(loss.value).all():
         raise NumericError("loss is not finite")
+    # backward resets only the nodes it reaches, so a listed param the loss
+    # does not reach would keep the gradient of an earlier graph; cleared
+    # first, its analytic gradient is zero
+    for p in params:
+        p.grad = None
     backward(loss)
-    # params the loss does not reach get no grad from backward; their
-    # analytic gradient is zero
     analytic = [
         p.grad.copy() if p.grad is not None else np.zeros_like(p.value)
         for p in params

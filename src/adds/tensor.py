@@ -63,10 +63,15 @@ def _node(value, parents, backward) -> Tensor:
 def _image_sum(x: np.ndarray) -> np.ndarray:
     """Sum per-image parameter gradients over the batch axis in image order.
 
-    ``cumsum`` adds strictly one image after another, as a per-image graph
-    adds each image's contribution into the gradient; ``sum`` may pair them.
+    Images are added strictly one after another, as a per-image graph adds
+    each image's contribution into the gradient; ``sum`` may pair them.
     """
-    return x if x.ndim == 2 else np.cumsum(x, axis=0)[-1]
+    if x.ndim == 2:
+        return x
+    acc = x[0].copy()
+    for xb in x[1:]:
+        acc += xb
+    return acc
 
 
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:

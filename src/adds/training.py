@@ -19,7 +19,7 @@ from .encoders import (
     DEFAULT_PROMPTS,
     MAX_CLASSES,
     PromptTemplate,
-    embed_label,
+    embed_labels,
     make_synthetic_world,
 )
 from .errors import ConfigurationError, NumericError
@@ -183,11 +183,19 @@ def build_pyramid_plan(config: TrainConfig):
     )
 
 
+def class_indices(world, names) -> np.ndarray:
+    """Position of each name in the world's class list."""
+    index = {name: i for i, name in enumerate(world.class_names)}
+    for name in names:
+        if name not in index:
+            raise ValueError(f"label {name!r} is not a class of this world")
+    return np.array([index[name] for name in names])
+
+
 def label_queries(world, names, dtype=np.float64) -> np.ndarray:
     """Prompted, averaged, unit-norm text embedding per label name; k x e."""
     templates = [PromptTemplate(p) for p in DEFAULT_PROMPTS]
-    rows = [embed_label(n, templates, world.text_encoder) for n in names]
-    return np.stack(rows).astype(dtype)
+    return embed_labels(names, templates, world.text_encoder).astype(dtype)
 
 
 def encode_images(world, plan, images, dtype=np.float64) -> np.ndarray:
@@ -246,7 +254,7 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     streams = SeedStreams(config.seed)
 
     seen, _unseen = open_vocab_split(world.class_names, config.n_seen)
-    seen_idx = np.array([world.class_names.index(n) for n in seen])
+    seen_idx = class_indices(world, seen)
     q0_all = label_queries(world, seen, dtype)
 
     # dataset is fixed per seed; draw it before any training randomness
@@ -368,10 +376,7 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234):
         vocab, _ = open_vocab_split(world.class_names, config.n_seen)
     if not vocab:
         raise ValueError("vocab names no labels")
-    for name in vocab:
-        if name not in world.class_names:
-            raise ValueError(f"label {name!r} is not a class of this world")
-    vocab_idx = np.array([world.class_names.index(n) for n in vocab])
+    vocab_idx = class_indices(world, vocab)
     dtype = config.np_dtype
     q0 = label_queries(world, vocab, dtype)
 

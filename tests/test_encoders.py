@@ -7,14 +7,17 @@ from hypothesis import strategies as st
 
 from adds.encoders import (
     DEFAULT_PROMPTS,
+    SIGNATURE_CHUNK,
     FrozenImageEncoder,
     FrozenTextEncoder,
     PromptTemplate,
     embed_label,
+    embed_labels,
     make_synthetic_world,
 )
 from adds.errors import ConfigurationError, ShapeError
 from adds.rng import SeedStreams
+from adds.training import label_queries
 
 
 def make_encoder(seed=0, base=16, patch=4, dim=6, dtype=np.float64):
@@ -28,6 +31,52 @@ def encode_tile_loop(enc, tile):
                .transpose(0, 2, 1, 3).reshape(enc.n_patches, p * p))
     tokens = enc.mix @ (patches @ enc.proj)
     return np.concatenate([tokens.mean(axis=0, keepdims=True), tokens], axis=0)
+
+
+def signature_tile(world, class_index):
+    """A base-size tile holding one class's signature in its top-left patch."""
+    tile = np.zeros((world.base_size, world.base_size))
+    p = world.patch_size
+    tile[:p, :p] = world.signatures[class_index]
+    return tile
+
+
+def fresh_generator_vector(enc, text):
+    """Unit normal draw of a generator built for this string alone, and its key."""
+    digest = hashlib.sha256(f"{enc.seed}:{text}".encode("utf-8")).digest()
+    key = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 16, 8)]
+    v = np.random.Generator(np.random.Philox(key=key)).standard_normal(enc.embed_dim)
+    return v / np.linalg.norm(v), key
+
+
+class RefTextEncoder:
+    """One string at a time, with a set of substrings per name length for the
+    lookup: the reference for encode_texts and embed_labels."""
+
+    def __init__(self, enc):
+        self.enc = enc
+        self.rank = {name: i for i, name in enumerate(enc.class_vectors)}
+        self.lengths = sorted({len(name) for name in self.rank}, reverse=True)
+
+    def encode_text(self, text):
+        name = None
+        for n in self.lengths:
+            found = self.rank.keys() & {text[i:i + n] for i in range(len(text) - n + 1)}
+            if found:
+                name = min(found, key=self.rank.__getitem__)
+                break
+        h = fresh_generator_vector(self.enc, text)[0]
+        v = h if name is None else self.enc.class_vectors[name] + self.enc.jitter * h
+        return v / np.linalg.norm(v)
+
+    def embed_label(self, name, templates):
+        mean = np.mean([self.encode_text(t.fill(name)) for t in templates], axis=0)
+        return mean / np.linalg.norm(mean)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestPromptTemplate:
@@ -160,25 +209,34 @@ class TestFrozenTextEncoder:
         enc = FrozenTextEncoder(2, {n: np.ones(2) for n in self.NESTED})
         assert enc.class_name_in(text) == name == self._scan(self.NESTED, text)
 
-    @staticmethod
-    def _fresh_generator_vector(enc, text):
-        digest = hashlib.sha256(f"{enc.seed}:{text}".encode("utf-8")).digest()
-        key = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 16, 8)]
-        v = np.random.Generator(np.random.Philox(key=key)).standard_normal(enc.embed_dim)
-        return v / np.linalg.norm(v), key
-
     @pytest.mark.parametrize("dim", [6, 257])
     def test_hash_vector_equals_fresh_generator(self, dim):
-        # the reused generator is re-keyed per string, so any call order gives
-        # the draws of a generator built for that string alone
+        # the reused generator is re-keyed per string, so any order in a
+        # sequence gives the draws of a generator built for that string alone
         enc = FrozenTextEncoder(dim, {}, seed=4)
         texts = [f"{i} This is a photo {'é' * (i % 3)}" for i in range(300)]
+        texts += texts[::-1]
         high = set()
-        for text in texts + texts[::-1]:
-            expected, key = self._fresh_generator_vector(enc, text)
-            np.testing.assert_array_equal(enc._hash_vector(text), expected)
+        for text, row in zip(texts, enc.encode_texts(texts)):
+            expected, key = fresh_generator_vector(enc, text)
+            # an unknown string's embedding is its unit draw, normalised again
+            assert same_bits(row, expected / np.linalg.norm(expected))
             high.add(sum(w >= 2**63 for w in key))
         assert high == {0, 1, 2}  # the float64 key of np.asarray is covered
+
+    @pytest.mark.parametrize("dim", [6, 16])
+    def test_encode_texts_equals_per_string_reference(self, dim):
+        # nested names, a text with two names, unknown and empty strings
+        g = SeedStreams(11).stream("vecs")
+        enc = FrozenTextEncoder(dim, {n: g.standard_normal(dim) for n in self.NESTED}, seed=3)
+        texts = ["xx abcd", "bcd ab", "cd ab", "da bc", "a photo of x", "", "zzz",
+                 "This is a abc photo", "ab" * 9]
+        rows, ref = enc.encode_texts(texts), RefTextEncoder(enc)
+        assert rows.shape == (len(texts), dim)
+        for text, row in zip(texts, rows):
+            assert same_bits(row, ref.encode_text(text))
+            assert same_bits(enc.encode_text(text), row)
+        assert enc.encode_texts([]).shape == (0, dim)
 
 
 class TestEmbedLabel:
@@ -195,8 +253,65 @@ class TestEmbedLabel:
         enc = FrozenTextEncoder(4, {})
         with pytest.raises(ValueError):
             embed_label("", [PromptTemplate("{}")], enc)
+        with pytest.raises(ValueError):
+            embed_labels(["x", ""], [PromptTemplate("{}")], enc)
         with pytest.raises(ConfigurationError):
             embed_label("x", [], enc)
+        with pytest.raises(ConfigurationError):
+            embed_labels(["x"], [], enc)
+
+    @pytest.mark.parametrize("n_templates", [1, 2, 3])
+    def test_embed_labels_equals_per_label_reference(self, world16, n_templates):
+        templates = [PromptTemplate(p) for p in
+                     (*DEFAULT_PROMPTS, "a {} in a noisy image")[:n_templates]]
+        enc, ref = world16.text_encoder, RefTextEncoder(world16.text_encoder)
+        known = world16.class_names
+        # an unknown label, two names in one label, a name inside a longer word
+        names = [*known, "zz", f"{known[5]} {known[2]}", f"x{known[7]}x"]
+        out = embed_labels(names, templates, enc)
+        assert same_bits(out, np.stack([ref.embed_label(n, templates) for n in names]))
+        assert same_bits(embed_label(names[3], templates, enc), out[3])
+
+
+@pytest.fixture(scope="module")
+def worlds():
+    """The bench's worlds (64 px, base 32, 16 dims) by class count, built once."""
+    cache = {}
+
+    def get(k):
+        if k not in cache:
+            cache[k] = make_synthetic_world(k=k, image_side=64, base_size=32, embed_dim=16,
+                                            seed=0)
+        return cache[k]
+
+    return get
+
+
+@pytest.fixture
+def world16(worlds):
+    return worlds(16)
+
+
+class TestVocabularyPath:
+    """A vocabulary embedded in one pass has the bits of one string at a time."""
+
+    @pytest.mark.parametrize("k", [16, 600, 4900])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_label_queries_equal_per_label_reference(self, worlds, k, dtype):
+        world = worlds(k)
+        templates = [PromptTemplate(p) for p in DEFAULT_PROMPTS]
+        ref = RefTextEncoder(world.text_encoder)
+        expect = np.stack([ref.embed_label(n, templates)
+                           for n in world.class_names]).astype(dtype)
+        assert same_bits(label_queries(world, world.class_names, dtype), expect)
+
+    def test_label_queries_are_pinned(self, worlds):
+        # SHA-256 of the 600-class float32 queries of the engine that embedded
+        # one string per call
+        world = worlds(600)
+        q = label_queries(world, world.class_names, np.float32)
+        assert hashlib.sha256(q.tobytes()).hexdigest() == (
+            "4ffea74c672a6294a30f0051459a2cd1c79377892f3885ea23a04a9861febc2d")
 
 
 class TestSyntheticWorld:
@@ -243,21 +358,29 @@ class TestSyntheticWorld:
             _, labels = world.sample(stream, class_subset=subset)
             assert set(np.flatnonzero(labels)) <= {0, 2}
 
-    @pytest.mark.parametrize("k", [16, 600])
-    def test_class_vectors_equal_per_tile_encoding(self, k):
+    @pytest.mark.parametrize("k", [16, 600, 4900])
+    def test_class_vectors_equal_per_tile_encoding(self, monkeypatch, k):
         # signature tiles are encoded SIGNATURE_CHUNK at a time
+        calls = []
+        encode_tiles = FrozenImageEncoder.encode_tiles
+
+        def spy(self, tiles):
+            calls.append(len(tiles))
+            return encode_tiles(self, tiles)
+
+        monkeypatch.setattr(FrozenImageEncoder, "encode_tiles", spy)
         world = make_synthetic_world(k=k, image_side=64, base_size=32, embed_dim=16, seed=0)
+        assert max(calls) <= SIGNATURE_CHUNK and sum(calls) == k
         for i, name in enumerate(world.class_names):
-            cls = encode_tile_loop(world.image_encoder, world.signature_tile(i))[0]
-            np.testing.assert_array_equal(world.text_encoder.class_vectors[name],
-                                          cls / np.linalg.norm(cls))
+            cls = encode_tile_loop(world.image_encoder, signature_tile(world, i))[0]
+            assert same_bits(world.text_encoder.class_vectors[name], cls / np.linalg.norm(cls))
 
     def test_alignment_by_construction(self):
         # the text vector of a class is exactly the unit CLS response of the
         # image encoder on that class's signature tile
         world = self._world()
         for i, name in enumerate(world.class_names):
-            cls = world.image_encoder.encode_tiles(world.signature_tile(i)[None])[0, 0]
+            cls = world.image_encoder.encode_tiles(signature_tile(world, i)[None])[0, 0]
             np.testing.assert_allclose(
                 world.text_encoder.class_vectors[name],
                 cls / np.linalg.norm(cls),

@@ -60,6 +60,22 @@ class TestMeanAveragePrecision:
         assert skipped == [1, 2]
         assert mAP == per_class[0]
 
+    @given(st.integers(0, 2**31), st.integers(1, 40), st.integers(1, 12),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_equals_per_class_average_precision(self, seed, n, k, dtype):
+        # three score values (-0.0 and 0.0 tie) make most ranks ties, and a
+        # sparse label matrix leaves some columns all negative
+        g = rng(seed)
+        scores = g.choice(np.array([-0.0, 0.0, 0.5], dtype), size=(n, k))
+        labels = (g.random((n, k)) < 0.2).astype(np.int8)
+        mAP, per_class, skipped = mean_average_precision(scores, labels)
+        expect = {c: average_precision(scores[:, c], labels[:, c])
+                  for c in range(k) if labels[:, c].any()}
+        assert per_class == expect
+        assert skipped == [c for c in range(k) if not labels[:, c].any()]
+        assert mAP == (np.mean(list(expect.values())) if expect else 0.0)
+
     def test_all_classes_empty(self):
         mAP, per_class, skipped = mean_average_precision(
             np.zeros((2, 2)), np.zeros((2, 2))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from adds import optim
 from adds.errors import ConfigurationError, NumericError
 from adds.optim import AdamState, adam_step, grad_check
 from adds.rng import SeedStreams
-from adds.tensor import Tensor, matmul, mean_all, mul, param, scale
+from adds.tensor import Tensor, backward, matmul, mean_all, mul, param, scale
 
 
 def rng(seed=0):
@@ -204,10 +205,25 @@ class TestGradCheck:
 
         assert grad_check(loss_fn, [used, unused]) < 1e-8
 
-    def test_frozen_param_with_gradient_named_by_position(self):
+    def test_stale_gradient_of_unreached_param_ignored(self):
+        # b's gradient from an earlier graph is not the gradient of a loss
+        # that does not reach b
+        a = param(rng(13).standard_normal((2, 2)))
+        b = param(rng(14).standard_normal((2, 2)))
+        backward(mean_all(mul(b, b)))
+        assert np.any(b.grad != 0)
+        assert grad_check(lambda: mean_all(mul(a, a)), [a, b]) < 1e-8
+
+    def test_frozen_param_with_gradient_named_by_position(self, monkeypatch):
         used = param(rng(11).standard_normal((2, 2)))
         frozen = param(rng(12).standard_normal((2, 2)), trainable=False)
-        frozen.grad = np.ones((2, 2))  # left over from another graph
+
+        def leaky_backward(root):
+            # breaks the contract that frozen leaves carry zero gradient
+            backward(root)
+            frozen.grad = np.ones((2, 2))
+
+        monkeypatch.setattr(optim, "backward", leaky_backward)
 
         def loss_fn():
             return mean_all(mul(used, used))

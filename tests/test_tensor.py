@@ -309,6 +309,19 @@ class TestBatchAxisGradients:
         assert err < 1e-6
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(1, 1), (16, 16), (1, 64)])
+@pytest.mark.parametrize("images", [1, 2, 3, 8, 9, 17])
+def test_image_sum_adds_images_in_order(images, shape, dtype):
+    # magnitudes over 16 decades: any other order of additions rounds differently
+    g = rng(images)
+    x = (g.standard_normal((images, *shape))
+         * 10.0 ** g.uniform(-8, 8, (images, *shape))).astype(dtype)
+    out = tensor._image_sum(x)
+    expect = np.cumsum(x, axis=0)[-1]
+    assert out.dtype == dtype and out.shape == shape and out.tobytes() == expect.tobytes()
+
+
 class TestFeedForward:
     def _params(self, g, e, h):
         return FeedForwardParams(
