@@ -29,9 +29,9 @@ from .rng import SeedStreams
 from .supervision import AslConfig, asl_loss_node
 from .tensor import Tensor
 from .training import (
-    Checkpoint,
     TrainConfig,
     evaluation_scores,
+    field_rule,
     train,
 )
 
@@ -58,20 +58,21 @@ def _write_manifest(out_dir: Path, manifest: dict) -> Path:
     return path
 
 
-def _parse_scalar(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            pass
-    if text.lower() in ("true", "false"):
-        return text.lower() == "true"
-    return text
+_FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
+
+
+def _parse(kind, text: str):
+    """A config-file value as the declared type ``kind``; ValueError or
+    KeyError if the text is not one."""
+    if kind is bool:
+        return {"true": True, "false": False}[text.lower()]
+    if kind == list[int]:
+        return [int(x) for x in text.split(",") if x.strip()]
+    return kind(text)
 
 
 def read_config_file(path) -> dict:
     """Flat key = value config; keys mirror TrainConfig fields."""
-    known = {f.name for f in dataclasses.fields(TrainConfig)}
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -80,20 +81,15 @@ def read_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in _FIELDS:
                 raise ConfigurationError(f"unknown config key {key!r}")
-            value = value.strip()
-            if key == "pyramid_levels":
-                try:
-                    out[key] = [int(x) for x in value.split(",") if x.strip()]
-                except ValueError:
-                    raise ConfigurationError(
-                        f"{path}:{lineno}: pyramid_levels must be comma-separated "
-                        f"integers, got {value!r}") from None
-            else:
-                out[key] = _parse_scalar(value)
+            try:
+                out[key] = _parse(_FIELDS[key].type, value)
+            except (ValueError, KeyError):
+                raise ConfigurationError(
+                    f"{path}:{lineno}: {key} must be {field_rule(_FIELDS[key])}, "
+                    f"got {value!r}") from None
     return out
 
 
@@ -177,10 +173,6 @@ def cmd_plan(args) -> int:
 # train
 
 
-_TRAIN_OVERRIDES = ("lr", "epochs", "depth", "kind", "batch_size", "n_train",
-                    "alpha", "dropout", "weight_decay")
-
-
 def cmd_train(args) -> int:
     out_dir = _out_dir(args.out)
     try:
@@ -188,22 +180,22 @@ def cmd_train(args) -> int:
             cfg_dict, timestamp = _read_manifest(args.manifest)
         else:
             cfg_dict = read_config_file(args.config) if args.config else {}
-            if args.seed is not None:
-                cfg_dict["seed"] = args.seed
-            for key in _TRAIN_OVERRIDES:
-                value = getattr(args, key, None)
-                if value is not None:
-                    cfg_dict[key] = value
-            cfg_dict = TrainConfig.from_dict(cfg_dict).to_dict()
+            cfg_dict.update((k, v) for k, v in vars(args).items()
+                            if k in _FIELDS and v is not None)
             timestamp = _now()
         config = TrainConfig.from_dict(cfg_dict)
-    except (ConfigurationError, FormatError, TypeError, OSError) as exc:
+        ckpt = train(config)  # ConfigurationError: a world that cannot be built
+    except (ConfigurationError, FormatError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
     ckpt_path = out_dir / "checkpoint.adds"
     loss_path = out_dir / "loss_log.txt"
-    manifest = {
+    save_checkpoint(ckpt, ckpt_path)
+    with atomic_open(loss_path) as fh:
+        for epoch, loss in enumerate(ckpt.loss_history):
+            fh.write(f"epoch {epoch} loss {loss:.10f}\n")
+    _write_manifest(out_dir, {
         "tool_version": __version__,
         "subcommand": "train",
         "config": config.to_dict(),
@@ -214,17 +206,7 @@ def cmd_train(args) -> int:
             "checkpoint": str(ckpt_path),
             "loss_log": str(loss_path),
         },
-    }
-    try:
-        ckpt = train(config)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    save_checkpoint(ckpt, ckpt_path)
-    with atomic_open(loss_path) as fh:
-        for epoch, loss in enumerate(ckpt.loss_history):
-            fh.write(f"epoch {epoch} loss {loss:.10f}\n")
-    _write_manifest(out_dir, manifest)
+    })
     print(f"trained {config.epochs} epochs; final loss "
           f"{ckpt.loss_history[-1]:.6f}; wrote {ckpt_path}")
     return 0
@@ -381,17 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train on the synthetic world")
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--manifest", help="rerun from a previous run manifest")
-    p.add_argument("--seed", type=int)
     p.add_argument("--out", help=f"output dir (default ${OUT_DIR_ENV} or cwd)")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--depth", type=int)
-    p.add_argument("--kind", choices=("dual_modal", "baseline"))
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--n-train", dest="n_train", type=int)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
+    for f in _FIELDS.values():
+        if f.metadata.get("flag"):
+            p.add_argument("--" + f.name.replace("_", "-"), type=f.type,
+                           choices=f.metadata["choices"])
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

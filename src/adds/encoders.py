@@ -290,7 +290,8 @@ def make_synthetic_world(
             for x in range(0, image_side, patch_size)
         ],
     )
-    # a chunk at a time bounds the intermediates of a large vocabulary
+    # a chunk at a time bounds the intermediates of a large vocabulary, here
+    # and in the separability check below (k x k cosines would be 192 MB at 4,900)
     cls = np.empty((k, embed_dim))
     for lo in range(0, k, SIGNATURE_CHUNK):
         sigs = signatures[lo:lo + SIGNATURE_CHUNK]
@@ -302,12 +303,15 @@ def make_synthetic_world(
         raise ConfigurationError(
             f"class {names[int(np.argmin(norms))]} has a zero signature response")
     responses = cls / norms[:, None]
-    cos = responses @ responses.T
-    np.fill_diagonal(cos, 0.0)
-    if cos.max() > 0.95:
+    worst = -1.0
+    for lo in range(0, k, SIGNATURE_CHUNK):
+        cos = responses[lo:lo + SIGNATURE_CHUNK] @ responses.T
+        np.fill_diagonal(cos[:, lo:], 0.0)
+        worst = max(worst, cos.max())
+    if worst > 0.95:
         raise ConfigurationError(
             f"{k} classes are not separable at patch size {patch_size} "
-            f"(max signature cosine {cos.max():.3f})"
+            f"(max signature cosine {worst:.3f})"
         )
     table = dict(zip(names, responses))
     world.text_encoder = FrozenTextEncoder(embed_dim, table, seed=seed)

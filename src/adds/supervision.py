@@ -17,8 +17,8 @@ class AslConfig:
     margin: float = 0.05
 
     def __post_init__(self):
-        if self.gamma_pos < 0 or self.gamma_neg < 0:
-            raise ConfigurationError("focusing exponents must be >= 0")
+        if not (0 <= self.gamma_pos < np.inf and 0 <= self.gamma_neg < np.inf):
+            raise ConfigurationError("focusing exponents must be finite and >= 0")
         if not 0.0 <= self.margin < 1.0:
             raise ConfigurationError(f"margin must be in [0, 1), got {self.margin}")
 
@@ -34,13 +34,13 @@ class LabelSelection:
 def select_labels(batch_labels, alpha: float, stream) -> LabelSelection:
     """Pool positives across the batch, add min(alpha*|pos|, k-|pos|) uniform
     negatives sampled without replacement."""
-    if alpha < 0:
-        raise ConfigurationError(f"alpha must be >= 0, got {alpha}")
+    if not 0 <= alpha < np.inf:
+        raise ConfigurationError(f"alpha must be finite and >= 0, got {alpha}")
     labels = np.atleast_2d(np.asarray(batch_labels))
     k = labels.shape[1]
     positives = np.flatnonzero(labels.any(axis=0))
     negatives = np.setdiff1d(np.arange(k), positives)
-    n_slt = min(int(alpha * len(positives)), len(negatives))
+    n_slt = int(min(alpha * len(positives), len(negatives)))  # alpha * |pos| may be inf
     if n_slt > 0:
         sampled = np.sort(stream.choice(negatives, size=n_slt, replace=False))
     else:

@@ -7,9 +7,11 @@ initial keys/values, the asymmetric loss is applied over the selected label
 set, and Adam updates the decoder and head.
 """
 
+import contextlib
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -34,88 +36,74 @@ def default_lr(target_side: int) -> float:
     return 1e-4 if target_side > 336 else 3e-4
 
 
+def _setting(default, lo=None, hi=None, below=None, choices=None, flag=False):
+    """A TrainConfig field taking, beyond its type, a number in [lo, hi] or
+    [lo, below) or one of ``choices``; a ``flag`` is an ``adds train`` option."""
+    return field(default=default, metadata=dict(lo=lo, hi=hi, below=below,
+                                                 choices=choices, flag=flag))
+
+
 @dataclass
 class TrainConfig:
     # synthetic world
-    classes: int = 16
-    image_side: int = 64
-    base_size: int = 32
-    patch_size: int = 8
-    embed_dim: int = 16
-    noise_std: float = 0.05
+    classes: int = _setting(16, lo=2, hi=MAX_CLASSES)  # as many as the world can name
+    image_side: int = _setting(64, lo=1)
+    base_size: int = _setting(32, lo=1)
+    patch_size: int = _setting(8, lo=1)
+    embed_dim: int = _setting(16, lo=1)
+    noise_std: float = _setting(0.05, lo=0)
     world_seed: int = 0
-    n_seen: int = 12
+    n_seen: int = _setting(12, lo=1)
     # decoder
-    depth: int = 6
-    kind: str = "dual_modal"
-    heads: int = 2
-    ffn_hidden: int = 0  # 0 = 4 * embed_dim
-    dropout: float = 0.1
+    depth: int = _setting(6, lo=1, flag=True)
+    kind: str = _setting("dual_modal", choices=("dual_modal", "baseline"), flag=True)
+    heads: int = _setting(2, lo=1)
+    ffn_hidden: int = _setting(0, lo=0)  # 0 = 4 * embed_dim
+    dropout: float = _setting(0.1, lo=0, below=1, flag=True)
     # optimization
-    lr: float = -1.0  # negative = resolve from resolution
-    weight_decay: float = 1e-4
-    epochs: int = 5
-    batch_size: int = 8
+    lr: float = _setting(-1.0, flag=True)  # negative = resolve from resolution
+    weight_decay: float = _setting(1e-4, lo=0, flag=True)
+    epochs: int = _setting(5, lo=1, flag=True)
+    batch_size: int = _setting(8, lo=1, flag=True)
     # supervision
-    alpha: float = 3.0
+    alpha: float = _setting(3.0, lo=0, flag=True)
     selection_threshold: int = 512
-    gamma_pos: float = 0.0
+    gamma_pos: float = 0.0  # the focusing exponents and margin: AslConfig's ranges
     gamma_neg: float = 4.0
     margin: float = 0.05
     # pyramid
     cls_only_non_bottom: bool = False
-    pyramid_levels: list = field(default_factory=list)  # empty = all levels
+    pyramid_levels: list[int] = field(default_factory=list)  # empty = all levels
     # run
-    n_train: int = 400
-    seed: int = 0
-    dtype: str = "float32"
+    n_train: int = _setting(400, lo=1, flag=True)
+    seed: int = _setting(0, flag=True)
+    dtype: str = _setting("float32", choices=("float32", "float64"))
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type is int and type(value) is not int:
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-        for name in ("epochs", "batch_size", "n_train", "depth", "heads", "patch_size",
-                     "base_size", "embed_dim"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        if self.ffn_hidden < 0:
-            raise ConfigurationError(f"ffn_hidden must be >= 0, got {self.ffn_hidden}")
-        if not math.isfinite(self.lr):
-            raise ConfigurationError(f"lr must be finite, got {self.lr}")
-        for name in ("weight_decay", "noise_std"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ConfigurationError(f"{name} must be finite and >= 0, got {value}")
+            if f.type is float and isinstance(value, numbers.Real) and type(value) is not bool:
+                with contextlib.suppress(OverflowError):  # such an int is refused below
+                    value = float(value)
+                setattr(self, f.name, value)
+            if not _accepts(f, value):
+                raise ConfigurationError(f"{f.name} must be {field_rule(f)}, got {value!r}")
         if self.lr < 0:
             self.lr = default_lr(self.image_side)
-        if self.classes > MAX_CLASSES:
+        if self.n_seen >= self.classes:
             raise ConfigurationError(
-                f"classes {self.classes} exceeds the {MAX_CLASSES} names the world can make"
+                f"n_seen {self.n_seen} must be below classes {self.classes}: "
+                "at least one class must be unseen"
             )
-        if not 0 < self.n_seen < self.classes:
-            raise ConfigurationError(
-                f"n_seen {self.n_seen} must be in [1, {self.classes}): "
-                "at least one class must be seen and one unseen"
-            )
-        if self.kind not in ("dual_modal", "baseline"):
-            raise ConfigurationError(f"unknown block kind {self.kind!r}")
         if self.embed_dim % self.heads != 0:
             raise ConfigurationError(
                 f"embed dim {self.embed_dim} not divisible by heads {self.heads}"
             )
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigurationError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.alpha < 0:
-            raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
         if self.image_side % self.patch_size or self.base_size % self.patch_size:
             raise ConfigurationError(
                 f"image side {self.image_side} and base size {self.base_size} must be "
                 f"multiples of patch size {self.patch_size}"
             )
-        if self.dtype not in ("float32", "float64"):
-            raise ConfigurationError(f"dtype must be float32 or float64, got {self.dtype!r}")
         self.asl_config()  # focusing exponents and margin
         build_pyramid_plan(self)  # image side >= base size, pyramid_levels in range
 
@@ -124,6 +112,9 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown config keys {unknown}")
         return cls(**d)
 
     def hash(self) -> str:
@@ -136,6 +127,33 @@ class TrainConfig:
 
     def asl_config(self) -> AslConfig:
         return AslConfig(self.gamma_pos, self.gamma_neg, self.margin)
+
+
+def field_rule(f) -> str:
+    """What TrainConfig field ``f`` takes, in the words its errors use."""
+    m = f.metadata
+    if m.get("choices"):
+        return "one of " + ", ".join(m["choices"])
+    text = {int: "an integer", float: "a finite number", bool: "true or false",
+            list[int]: "a list of integers"}[f.type]
+    if m.get("hi") is not None:
+        return f"{text} in [{m['lo']}, {m['hi']}]"
+    if m.get("below") is not None:
+        return f"{text} in [{m['lo']}, {m['below']})"
+    return text if m.get("lo") is None else f"{text} >= {m['lo']}"
+
+
+def _accepts(f, value) -> bool:
+    m = f.metadata
+    if f.type == list[int]:
+        return type(value) is list and all(type(x) is int for x in value)
+    if type(value) is not f.type or f.type is float and not math.isfinite(value):
+        return False
+    if m.get("choices"):
+        return value in m["choices"]
+    return ((m.get("lo") is None or value >= m["lo"])
+            and (m.get("hi") is None or value <= m["hi"])
+            and (m.get("below") is None or value < m["below"]))
 
 
 @dataclass

@@ -1,12 +1,21 @@
+import contextlib
+import dataclasses
+import io
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from adds import training
-from adds.checkpoint import load_checkpoint
+from adds.checkpoint import load_checkpoint, save_checkpoint
 from adds.cli import OUT_DIR_ENV, main, read_config_file
 from adds.errors import ConfigurationError
+from adds.training import TrainConfig
 
 TINY_CONFIG = """\
 # small world for fast command tests
@@ -139,6 +148,27 @@ class TestTrainEval:
         ckpt = load_checkpoint(out_dir / "checkpoint.adds")
         assert ckpt.epoch == 3
 
+    def test_train_flags_set_their_fields(self, capsys, tmp_path, config_file):
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        flags = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+        assert flags == {"--help", "--config", "--manifest", "--out", "--seed", "--lr",
+                         "--epochs", "--depth", "--kind", "--batch-size", "--n-train",
+                         "--alpha", "--dropout", "--weight-decay"}
+        code, _, _ = run(capsys, "train", "--config", str(config_file), "--out",
+                         str(tmp_path), "--seed", "5", "--lr", "1", "--epochs", "1",
+                         "--depth", "2", "--kind", "baseline", "--batch-size", "4",
+                         "--n-train", "8", "--alpha", "0.5", "--dropout", "0",
+                         "--weight-decay", "0")
+        assert code == 0
+        config = json.loads((tmp_path / "run_manifest.json").read_text())["config"]
+        assert {k: config[k] for k in ("seed", "lr", "epochs", "depth", "kind",
+                                       "batch_size", "n_train", "alpha", "dropout",
+                                       "weight_decay")} == {
+            "seed": 5, "lr": 1.0, "epochs": 1, "depth": 2, "kind": "baseline",
+            "batch_size": 4, "n_train": 8, "alpha": 0.5, "dropout": 0.0,
+            "weight_decay": 0.0}
+
     def test_eval_writes_metrics_record(self, capsys, tmp_path, config_file):
         train_dir = tmp_path / "train"
         eval_dir = tmp_path / "eval"
@@ -198,7 +228,10 @@ class TestTrainEval:
                                       "lr = nan", "lr = inf", "weight_decay = -1",
                                       "weight_decay = nan", "weight_decay = inf",
                                       "noise_std = nan", "noise_std = inf",
-                                      "noise_std = -1"])
+                                      "noise_std = -1", "cls_only_non_bottom = no",
+                                      "cls_only_non_bottom = 2", "alpha = true",
+                                      "alpha = nan", "alpha = inf", "gamma_pos = nan",
+                                      "gamma_neg = inf"])
     def test_invalid_config_exit_1(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(TINY_CONFIG + line + "\n")
@@ -240,6 +273,37 @@ class TestTrainEval:
         assert code == 1
         assert err.startswith("error:")
         assert not (tmp_path / "rerun" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("key, value", [("pyramid_levels", [True]),
+                                            ("pyramid_levels", [False]),
+                                            ("cls_only_non_bottom", "no"),
+                                            ("lr", "0.1")])
+    def test_invalid_manifest_config_exit_1(self, capsys, tmp_path, config_file, key,
+                                            value):
+        assert run(capsys, "train", "--config", str(config_file),
+                   "--out", str(tmp_path))[0] == 0
+        manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+        manifest["config"][key] = value
+        path = tmp_path / "bad_manifest.json"
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "train", "--manifest", str(path),
+                           "--out", str(tmp_path / "rerun"))
+        assert code == 1
+        assert err.startswith(f"error: {key}")
+        assert not (tmp_path / "rerun" / "checkpoint.adds").exists()
+
+    def test_checkpoint_config_breaking_a_rule_exit_1(self, capsys, tmp_path,
+                                                      config_file):
+        assert run(capsys, "train", "--config", str(config_file),
+                   "--out", str(tmp_path))[0] == 0
+        ckpt = load_checkpoint(tmp_path / "checkpoint.adds")
+        ckpt.config["cls_only_non_bottom"] = "no"
+        save_checkpoint(ckpt, tmp_path / "old.adds")
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "old.adds"),
+                           "--n-eval", "4", "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert err.startswith("error: cls_only_non_bottom")
+        assert not (tmp_path / "e" / "metrics.jsonl").exists()
 
     def test_non_finite_loss_exit_1(self, capsys, tmp_path, config_file, monkeypatch):
         asl_loss_node = training.asl_loss_node
@@ -311,6 +375,36 @@ class TestTrainEval:
         code, _, _ = run(capsys, "train", "--config", str(config_file))
         assert code == 0
         assert (env_dir / "checkpoint.adds").is_file()
+
+
+# Each example appends one line to this config. Selection runs (6 seen labels
+# above a threshold of 2), so alpha reaches select_labels.
+_FUZZ_BASE = TINY_CONFIG + "epochs = 1\nn_train = 4\nselection_threshold = 2\n"
+# A valid run grows with these fields: a huge value is a long run, not a bad input.
+_RUN_SIZES = {"image_side", "embed_dim", "ffn_hidden", "depth", "epochs", "n_train"}
+_FUZZ_VALUES = st.one_of(
+    st.sampled_from([-2**63, -1, 0, 1, 2, 3, 8, 64, 4900, 4901, 2**31, 2**63]).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0.0", "0.5", "1e-3", "1e308", "true", "false",
+                     "True", "no", "baseline", "float64", "mystery", "0,1", "0, 0", "1,x",
+                     ",", ""]),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(key="alpha", value="nan")
+@given(key=st.sampled_from([f.name for f in dataclasses.fields(TrainConfig)]),
+       value=_FUZZ_VALUES)
+def test_generated_config_line_exits_0_or_1(key, value):
+    assume(not (key in _RUN_SIZES and value.lstrip("-").isdigit() and int(value) > 64))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text(_FUZZ_BASE + f"{key} = {value}\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["train", "--config", str(path), "--out", tmp])
+        assert code in (0, 1)
+        assert (code == 1) == err.getvalue().startswith("error:")
+        assert (code == 0) == (Path(tmp) / "checkpoint.adds").exists()
 
 
 class TestGradcheck:

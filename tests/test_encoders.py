@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -374,6 +375,16 @@ class TestSyntheticWorld:
         for i, name in enumerate(world.class_names):
             cls = encode_tile_loop(world.image_encoder, signature_tile(world, i))[0]
             assert same_bits(world.text_encoder.class_vectors[name], cls / np.linalg.norm(cls))
+
+    def test_world_build_memory_is_not_quadratic(self):
+        # a k x k cosine matrix alone would take 192 MB at k = 4,900
+        tracemalloc.start()
+        try:
+            make_synthetic_world(k=4900, image_side=64, base_size=32, embed_dim=16, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_alignment_by_construction(self):
         # the text vector of a class is exactly the unit CLS response of the

@@ -31,6 +31,12 @@ class TestAslConfig:
         with pytest.raises(ConfigurationError):
             AslConfig(margin=1.0)
 
+    @pytest.mark.parametrize("name", ["gamma_pos", "gamma_neg"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_exponent_rejected(self, name, value):
+        with pytest.raises(ConfigurationError, match="finite"):
+            AslConfig(**{name: value})
+
 
 class TestAslValue:
     def test_negative_hand_value(self):
@@ -157,6 +163,20 @@ class TestSelectLabels:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ConfigurationError):
             select_labels(np.zeros((1, 4)), alpha=-1, stream=rng(0))
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    def test_non_finite_alpha_rejected(self, alpha):
+        labels = np.zeros((1, 4))
+        labels[0, 0] = 1
+        with pytest.raises(ConfigurationError, match="alpha"):
+            select_labels(labels, alpha=alpha, stream=rng(0))
+
+    def test_huge_alpha_takes_every_negative(self):
+        # alpha * |pos| overflows to inf; the cap still holds
+        labels = np.zeros((1, 8), dtype=int)
+        labels[0, [1, 4, 6]] = 1
+        sel = select_labels(labels, alpha=1e308, stream=rng(5))
+        np.testing.assert_array_equal(sel.selected, np.arange(8))
 
 
 class TestCosineBaseline:

@@ -73,6 +73,25 @@ class TestTrainConfig:
             with pytest.raises(ConfigurationError, match="noise_std"):
                 tiny_config(noise_std=noise)
 
+    def test_float_fields_hold_python_floats(self):
+        # lr = 1 and lr = 1.0 are one config, in memory and in hash()
+        a, b = tiny_config(lr=1), tiny_config(lr=1.0)
+        assert type(a.lr) is float and a.hash() == b.hash()
+        assert type(tiny_config(alpha=np.float32(0.5)).alpha) is float
+
+    @pytest.mark.parametrize("name, value", [
+        ("cls_only_non_bottom", "no"), ("cls_only_non_bottom", 1), ("alpha", True),
+        ("alpha", float("nan")), ("gamma_pos", float("inf")), ("lr", "0.1"),
+        ("lr", 10**400), ("pyramid_levels", [True]), ("pyramid_levels", (0,)),
+        ("kind", ["baseline"]), ("dtype", "float16")])
+    def test_declared_type_refused(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            tiny_config(**{name: value})
+
+    def test_unknown_key_refused(self):
+        with pytest.raises(ConfigurationError, match="not_a_field"):
+            TrainConfig.from_dict({**TINY, "not_a_field": 1})
+
 
 class TestOpenVocabSplit:
     def test_alphabetical_case_insensitive(self):
