@@ -2,23 +2,17 @@
 
 Because label queries are text embeddings, the trained decoder can score any
 class name, including the ones held out of training. This script evaluates
-the checkpoint from the training demo on the full vocabulary, splits the
-result into seen and unseen classes, and compares against the decoder-free
-cosine baseline (raw image embedding vs label embedding).
+the checkpoint from the training demo through ``open_vocab_report``: one
+decoder forward over every class of the world, whose columns are sliced into
+the seen and the unseen classes, beside the decoder-free cosine baseline
+(each image's global embedding against each label embedding) on the same
+images.
 """
 
 from pathlib import Path
 
 from adds.checkpoint import load_checkpoint
-from adds.metrics import mean_average_precision
-from adds.rng import SeedStreams
-from adds.training import (
-    TrainConfig,
-    build_world,
-    cosine_baseline_scores,
-    evaluation_scores,
-    open_vocab_split,
-)
+from adds.training import TrainConfig, build_world, open_vocab_report, open_vocab_split
 
 CKPT = Path(__file__).resolve().parent / "out" / "demo_checkpoint.adds"
 N_EVAL = 150
@@ -30,28 +24,15 @@ def main():
         raise SystemExit("run demos/03_train_synthetic.py first")
     ckpt = load_checkpoint(CKPT)
     config = TrainConfig.from_dict(ckpt.config)
-    world = build_world(config)
-    seen, unseen = open_vocab_split(world.class_names, config.n_seen)
+    seen, unseen = open_vocab_split(build_world(config).class_names, config.n_seen)
     print(f"seen classes:   {', '.join(seen)}")
     print(f"unseen classes: {', '.join(unseen)}")
 
-    scores, labels, vocab = evaluation_scores(
-        ckpt, vocab=world.class_names, n_eval=N_EVAL, eval_seed=EVAL_SEED
-    )
-    stream = SeedStreams(EVAL_SEED).stream("eval_data")
-    samples = world.sample_many(stream, N_EVAL)
-    cosine = cosine_baseline_scores(world, [img for img, _ in samples], vocab)
-
+    report = open_vocab_report(ckpt, n_eval=N_EVAL, eval_seed=EVAL_SEED)
     print(f"\nmAP over {N_EVAL} fresh images:")
     print(f"{'vocabulary':<12} {'decoder':>9} {'cosine':>9}")
-    for name, idx in (
-        ("seen", [vocab.index(n) for n in seen]),
-        ("unseen", [vocab.index(n) for n in unseen]),
-        ("all", list(range(len(vocab)))),
-    ):
-        ours = mean_average_precision(scores[:, idx], labels[:, idx])[0]
-        base = mean_average_precision(cosine[:, idx], labels[:, idx])[0]
-        print(f"{name:<12} {ours:>9.3f} {base:>9.3f}")
+    for group in ("seen", "unseen", "all"):
+        print(f"{group:<12} {report['decoder'][group]:>9.3f} {report['cosine'][group]:>9.3f}")
 
     print("\nthe decoder should dominate on seen classes and still beat the")
     print("baseline on unseen ones, since label queries share one aligned space")

@@ -11,7 +11,7 @@ Library layout:
 - ``encoders``: frozen toy image/text towers, prompt templates, and the
   synthetic aligned world.
 - ``supervision``: selective label sampling, the asymmetric loss, and the
-  cosine-threshold baseline.
+  cosine baseline.
 - ``training`` / ``metrics`` / ``checkpoint``: the training loop, mAP / F1@k
   evaluation, open-vocabulary splits, and checkpoint serialization.
 - ``cli``: ``adds`` command-line entry point.

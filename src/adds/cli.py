@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .atomic import atomic_open
 from .decoder import classify, init_head, init_stack, stack_forward
-from .errors import ConfigurationError, FormatError, NumericError, ShapeError
+from .errors import ConfigurationError, FormatError, NumericError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import metrics_report
 from .optim import grad_check
@@ -233,20 +233,14 @@ def cmd_eval(args) -> int:
                 "eval_seed": args.eval_seed,
             }
             timestamp = _now()
-        ckpt = load_checkpoint(settings["checkpoint"])
-    except (FormatError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         scores, labels, vocab = evaluation_scores(
-            ckpt,
+            load_checkpoint(settings["checkpoint"]),
             vocab=settings["vocab"],
             n_eval=settings["n_eval"],
             eval_seed=settings["eval_seed"],
         )
         report = metrics_report(scores, labels, settings["ks"])
-    except (ValueError, ConfigurationError, ShapeError) as exc:
+    except (ValueError, NumericError, OSError) as exc:  # FormatError etc. are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -333,11 +327,13 @@ def cmd_gradcheck(args) -> int:
                                                       args.corrupt_gradient)
             err = grad_check(loss_fn, params, eps=args.eps)
             threshold = 1e-4
-    except ConfigurationError as exc:
+    except (ConfigurationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(f"max relative gradient error: {err:.3e} (threshold {threshold:g})")
-    return 0 if err < threshold else 1
+    if err >= threshold:
+        print("error: analytic and numeric gradients differ", file=sys.stderr)
+    return int(err >= threshold)
 
 
 # ---------------------------------------------------------------------------

@@ -164,10 +164,6 @@ class FrozenTextEncoder:
             v[known] = np.array(rows) + self.jitter * v[known]
         return _unit_rows(v)
 
-    def encode_text(self, text: str) -> np.ndarray:
-        """Unit-norm embedding of one string."""
-        return self.encode_texts([text])[0]
-
 
 def embed_labels(names, templates, encoder: FrozenTextEncoder) -> np.ndarray:
     """Per name, the average of the embeddings of every prompted form,
@@ -180,11 +176,6 @@ def embed_labels(names, templates, encoder: FrozenTextEncoder) -> np.ndarray:
     texts = [t.fill(name) for name in names for t in templates]
     vecs = encoder.encode_texts(texts).reshape(len(names), len(templates), encoder.embed_dim)
     return _unit_rows(vecs.mean(axis=1))
-
-
-def embed_label(class_name: str, templates, encoder: FrozenTextEncoder) -> np.ndarray:
-    """Average the embeddings of every prompted form, renormalized to unit norm."""
-    return embed_labels([class_name], templates, encoder)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -112,8 +112,8 @@ def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
     Relative error uses an absolute floor so near-zero gradients are compared
     at finite-difference noise level rather than amplified.
     """
-    if not eps > 0:
-        raise ConfigurationError(f"finite-difference step must be positive, got {eps}")
+    if not 0 < eps < np.inf:
+        raise ConfigurationError(f"finite-difference step must be finite and > 0, got {eps}")
     loss = loss_fn()
     if not np.isfinite(loss.value).all():
         raise NumericError("loss is not finite")

@@ -125,16 +125,16 @@ def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
                   _parents=(p,), _backward=backward)
 
 
-def cosine_baseline(image_embedding, label_embeddings, eta: float = 0.5):
-    """Cosine scores of one image embedding against every label embedding,
-    thresholded at eta."""
-    v = np.asarray(image_embedding, dtype=np.float64).reshape(-1)
+def cosine_baseline(image_rows, label_embeddings) -> np.ndarray:
+    """Cosine of each of n image embeddings against each of k label
+    embeddings: (n, e) and (k, e) give (n, k). The stacked products round
+    like one image's ``labels @ row`` and ``np.linalg.norm(row)`` alone."""
+    v = np.atleast_2d(np.asarray(image_rows, dtype=np.float64))
     mat = np.atleast_2d(np.asarray(label_embeddings, dtype=np.float64))
-    vn = np.linalg.norm(v)
-    if vn == 0:
-        raise ValueError("image embedding has zero norm")
+    vn = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if np.any(vn == 0):
+        raise ValueError("an image embedding has zero norm")
     norms = np.linalg.norm(mat, axis=1)
     if np.any(norms == 0):
         raise ValueError("a label embedding has zero norm")
-    scores = (mat @ v) / (norms * vn)
-    return scores, scores > eta
+    return (mat @ v[:, :, None])[..., 0] / (norms * vn[:, None])

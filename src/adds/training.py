@@ -25,6 +25,7 @@ from .encoders import (
     make_synthetic_world,
 )
 from .errors import ConfigurationError, NumericError
+from .metrics import mean_average_precision
 from .optim import AdamState, adam_step
 from .pyramid import build_plan, encode_and_stack, extract_tiles
 from .rng import SeedStreams
@@ -231,6 +232,13 @@ def encode_image(world, plan, image, dtype=np.float64) -> np.ndarray:
     return encode_images(world, plan, [image], dtype)[0]
 
 
+def eval_samples(world, n_eval: int, eval_seed: int) -> list:
+    """The evaluation set: ``n_eval`` fresh (image, labels) pairs of the world."""
+    if n_eval < 1:
+        raise ValueError(f"n_eval must be >= 1, got {n_eval}")
+    return world.sample_many(SeedStreams(eval_seed).stream("eval_data"), n_eval)
+
+
 def build_model(config: TrainConfig, streams: SeedStreams):
     dtype = config.np_dtype
     stack = init_stack(
@@ -259,7 +267,8 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     Resuming from a checkpoint of the same config reproduces the
     uninterrupted run bit-exactly. A non-finite minibatch loss raises
     ``NumericError`` naming its epoch and step (both from 0), before the
-    parameters take an update from it.
+    parameters take an update from it; so does a non-finite parameter after
+    an update.
     """
     dtype = config.np_dtype
     if world is None:
@@ -289,17 +298,15 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     start_epoch = 0
     loss_history: list[float] = []
     if resume is not None:
-        mine = config.to_dict()
-        theirs = dict(resume.config)
-        mine.pop("epochs")
-        theirs.pop("epochs", None)
-        if mine != theirs:
+        if {**config.to_dict(), "epochs": None} != {**resume.config, "epochs": None}:
             raise ConfigurationError("resume checkpoint config differs from config")
         if resume.epoch > config.epochs:
             raise ConfigurationError(
                 f"checkpoint already at epoch {resume.epoch} > target {config.epochs}"
             )
-        _load_into(resume, params, state, streams)
+        _load_weights(resume, params, ((state.m, resume.opt_m), (state.v, resume.opt_v)))
+        state.step = resume.opt_step
+        streams.restore(resume.rng)
         start_epoch = resume.epoch
         loss_history = list(resume.loss_history)
 
@@ -330,6 +337,9 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
             backward(loss)
             if config.lr > 0:
                 adam_step(tensors, state, config.lr, config.weight_decay)
+                if not np.isfinite(state.values).all():
+                    bad = next(n for n, t in params if not np.isfinite(t.value).all())
+                    raise NumericError(f"epoch {epoch} step {step}: {bad} is not finite")
             epoch_losses.append(value)
         loss_history.append(float(np.mean(epoch_losses)))
 
@@ -345,20 +355,22 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     )
 
 
-def _load_into(ckpt: Checkpoint, params, state: AdamState, streams: SeedStreams):
+def _load_weights(ckpt: Checkpoint, params, moments=()):
+    """Copy each parameter's checkpoint weight, and its blob of each (arrays,
+    blobs) pair of ``moments``, into the model's arrays in place (they may be
+    views of Adam's buffers). A missing, misshapen or non-finite blob raises,
+    naming its parameter; blobs that no parameter reads are ignored."""
     for i, (name, t) in enumerate(params):
         if name not in ckpt.weights:
             raise ConfigurationError(f"checkpoint is missing parameter {name}")
-        # copy in place: values and moments are views of the optimizer's buffers
-        for dst, src in ((t.value, ckpt.weights[name]), (state.m[i], ckpt.opt_m[name]),
-                         (state.v[i], ckpt.opt_v[name])):
+        for dst, src in [(t.value, ckpt.weights[name])] + [(m[i], b[name]) for m, b in moments]:
             if src.shape != dst.shape:
                 raise ConfigurationError(
                     f"checkpoint parameter {name} has shape {src.shape}, model {dst.shape}"
                 )
+            if not np.isfinite(src).all():
+                raise NumericError(f"checkpoint parameter {name} is not finite")
             dst[...] = src.astype(dst.dtype)
-    state.step = ckpt.opt_step
-    streams.restore(ckpt.rng)
 
 
 def restore_model(ckpt: Checkpoint):
@@ -368,39 +380,39 @@ def restore_model(ckpt: Checkpoint):
     config = TrainConfig.from_dict(ckpt.config)
     world = build_world(config)
     stack, head = build_model(config, SeedStreams(config.seed))
-    for name, t in named_parameters(stack, head):
-        if name not in ckpt.weights:
-            raise ConfigurationError(f"checkpoint is missing parameter {name}")
-        t.value = ckpt.weights[name].astype(t.value.dtype).copy()
+    params = named_parameters(stack, head)
+    _load_weights(ckpt, params)
+    for _, t in params:
         t.trainable = False
     return config, world, stack, head
 
 
 def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234):
-    """Sample a fresh evaluation set from the checkpoint's world and score it.
+    """Score the evaluation set (``eval_samples``) of the checkpoint's world.
 
     Returns (scores n x |vocab|, labels, vocab names). ``vocab`` defaults to
     the seen classes of the training split; passing the full class list
     exercises the open-vocabulary path (unseen names are simply embedded).
-    One decoder forward takes as many images as fit CHUNK_BYTES of key/value
-    and query rows; an image's scores depend on that image alone, so neither
-    the chunking nor the training batch size changes a bit of them.
     """
-    if n_eval < 1:
-        raise ValueError(f"n_eval must be >= 1, got {n_eval}")
-    config, world, stack, head = restore_model(ckpt)
-    plan = build_pyramid_plan(config)
+    model = restore_model(ckpt)
+    config, world = model[:2]
     if vocab is None:
         vocab, _ = open_vocab_split(world.class_names, config.n_seen)
     if not vocab:
         raise ValueError("vocab names no labels")
     vocab_idx = class_indices(world, vocab)
-    dtype = config.np_dtype
-    q0 = label_queries(world, vocab, dtype)
+    samples = eval_samples(world, n_eval, eval_seed)
+    labels = np.stack([lab[vocab_idx] for _, lab in samples])
+    return _decoder_scores(model, vocab, [img for img, _ in samples]), labels, list(vocab)
 
-    stream = SeedStreams(eval_seed).stream("eval_data")
-    samples = world.sample_many(stream, n_eval)
-    images = [img for img, _ in samples]
+
+def _decoder_scores(model, vocab, images) -> np.ndarray:
+    """Scores of a restored model, n images x |vocab|. One forward takes as
+    many images as fit CHUNK_BYTES of key/value and query rows; an image's
+    scores depend on that image alone, so no chunking changes a bit of them."""
+    config, world, stack, head = model
+    plan, dtype = build_pyramid_plan(config), config.np_dtype
+    q0 = label_queries(world, vocab, dtype)
     kv_rows = plan.row_count(1 + world.image_encoder.n_patches)
     image_bytes = (kv_rows + len(vocab)) * config.embed_dim * dtype.itemsize
     rows = []
@@ -409,15 +421,32 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234):
         q = np.broadcast_to(q0, (len(kv), *q0.shape))
         probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
         rows.append(probs.value[..., 0])
-    labels = np.stack([lab[vocab_idx] for _, lab in samples])
-    return np.concatenate(rows), labels, list(vocab)
+    return np.concatenate(rows)
 
 
 def cosine_baseline_scores(world, images, vocab) -> np.ndarray:
     """Decoder-free reference scores: cosine of each image's global CLS token
     (level-0 view: the whole image resized to the encoder's base size) against
     every prompted label embedding."""
-    q = label_queries(world, vocab)
     plan = build_plan(world.base_size, world.image_side, selected_levels=[0])
-    cls = encode_images(world, plan, images)[:, 0]
-    return np.stack([cosine_baseline(c, q)[0] for c in cls])
+    return cosine_baseline(encode_images(world, plan, images)[:, 0],
+                           label_queries(world, vocab))
+
+
+def open_vocab_report(ckpt: Checkpoint, n_eval=200, eval_seed=1234) -> dict:
+    """mAP of the decoder and of the cosine baseline over the seen, the unseen
+    and all classes: {"decoder": {"seen", "unseen", "all"}, "cosine": {…}}.
+    Each group is a slice of the columns of one forward over every class."""
+    model = restore_model(ckpt)
+    config, world = model[:2]
+    names = world.class_names
+    seen, unseen = open_vocab_split(names, config.n_seen)
+    groups = {"seen": class_indices(world, seen), "unseen": class_indices(world, unseen),
+              "all": slice(None)}
+    samples = eval_samples(world, n_eval, eval_seed)
+    images, labels = [img for img, _ in samples], np.stack([lab for _, lab in samples])
+    scores = {"decoder": _decoder_scores(model, names, images),
+              "cosine": cosine_baseline_scores(world, images, names)}
+    return {kind: {group: mean_average_precision(s[:, cols], labels[:, cols])[0]
+                   for group, cols in groups.items()}
+            for kind, s in scores.items()}

@@ -22,14 +22,7 @@ from adds.pyramid import build_plan, cost_report
 from adds.rng import SeedStreams
 from adds.supervision import AslConfig, asl_loss, asl_loss_node, select_labels
 from adds.tensor import Tensor
-from adds.training import (
-    TrainConfig,
-    build_world,
-    cosine_baseline_scores,
-    evaluation_scores,
-    open_vocab_split,
-    train,
-)
+from adds.training import TrainConfig, open_vocab_report, train
 
 # frozen small-world configuration for the open-vocabulary run
 RUN_BASE = dict(classes=16, n_seen=12, image_side=64, base_size=32,
@@ -209,33 +202,13 @@ def test_a7_open_vocabulary_run():
     ok_seen = ok_unseen = ok_trend = True
     details = []
     for seed in RUN_SEEDS:
-        ck_dm6 = train(TrainConfig(seed=seed, depth=6, kind="dual_modal",
-                                   **RUN_BASE))
-        ck_dm1 = train(TrainConfig(seed=seed, depth=1, kind="dual_modal",
-                                   **RUN_BASE))
-        ck_bl6 = train(TrainConfig(seed=seed, depth=6, kind="baseline",
-                                   **RUN_BASE))
-        world = build_world(TrainConfig(seed=seed, **RUN_BASE))
-        seen, unseen = open_vocab_split(world.class_names, RUN_BASE["n_seen"])
-        maps = {}
-        for name, ck in (("dm6", ck_dm6), ("dm1", ck_dm1), ("bl6", ck_bl6)):
-            scores, labels, vocab = evaluation_scores(
-                ck, vocab=world.class_names, n_eval=N_EVAL, eval_seed=EVAL_SEED
-            )
-            sc = [vocab.index(x) for x in seen]
-            uc = [vocab.index(x) for x in unseen]
-            maps[name] = dict(
-                all=mean_average_precision(scores, labels)[0],
-                seen=mean_average_precision(scores[:, sc], labels[:, sc])[0],
-                unseen=mean_average_precision(scores[:, uc], labels[:, uc])[0],
-            )
-            if name == "dm6":
-                eval_stream = SeedStreams(EVAL_SEED).stream("eval_data")
-                samples = world.sample_many(eval_stream, N_EVAL)
-                cos = cosine_baseline_scores(world, [s[0] for s in samples],
-                                             vocab)
-                cos_unseen = mean_average_precision(cos[:, uc],
-                                                    labels[:, uc])[0]
+        reports = {}
+        for name, kind, depth in (("dm6", "dual_modal", 6), ("dm1", "dual_modal", 1),
+                                  ("bl6", "baseline", 6)):
+            ck = train(TrainConfig(seed=seed, depth=depth, kind=kind, **RUN_BASE))
+            reports[name] = open_vocab_report(ck, n_eval=N_EVAL, eval_seed=EVAL_SEED)
+        maps = {name: r["decoder"] for name, r in reports.items()}
+        cos_unseen = reports["dm6"]["cosine"]["unseen"]
         ok_seen &= maps["dm6"]["seen"] >= 0.90
         ok_unseen &= maps["dm6"]["unseen"] > cos_unseen
         ok_trend &= (maps["dm6"]["all"] >= maps["dm1"]["all"]

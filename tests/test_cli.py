@@ -320,6 +320,32 @@ class TestTrainEval:
         assert err.startswith("error: epoch 0 step 0")
         assert list(tmp_path.iterdir()) == [config_file]
 
+    def test_non_finite_parameter_exit_1(self, capsys, tmp_path):
+        # one step, so no later minibatch loss sees what the update left
+        path = tmp_path / "huge_lr.cfg"
+        path.write_text(TINY_CONFIG + "lr = 1e308\nepochs = 1\nn_train = 8\n")
+        code, _, err = run(capsys, "train", "--config", str(path), "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: epoch 0 step 0: decoder.block0.")
+        assert not (tmp_path / "checkpoint.adds").exists()
+
+    @pytest.mark.parametrize("defect", ["nan", "shape"])
+    def test_eval_bad_weight_exit_1(self, capsys, tmp_path, config_file, defect):
+        run(capsys, "train", "--config", str(config_file), "--out", str(tmp_path))
+        ckpt = load_checkpoint(tmp_path / "checkpoint.adds")
+        name = "decoder.block0.attn_text.wq"
+        if defect == "nan":
+            ckpt.weights[name][1, 2] = np.nan  # one weight of 64
+        else:
+            for blobs in (ckpt.weights, ckpt.opt_m, ckpt.opt_v):
+                blobs[name] = np.zeros((8, 16), np.float32)
+        save_checkpoint(ckpt, tmp_path / "bad.adds")
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "bad.adds"),
+                           "--n-eval", "4", "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert err.startswith(f"error: checkpoint parameter {name}")
+        assert not (tmp_path / "e" / "metrics.jsonl").exists()
+
     def test_failed_rerun_keeps_previous_artifacts(self, capsys, tmp_path, config_file,
                                                    monkeypatch):
         assert run(capsys, "train", "--config", str(config_file),
@@ -429,3 +455,45 @@ class TestGradcheck:
         assert code == 1
         assert err.startswith("error:")
         assert "max relative gradient error" not in out
+
+
+# Each option of a generated argv, with values across its bounds; a flag
+# takes None. Sizes stay small: a valid plan or check grows with them.
+_ARGV_OPTIONS = {
+    "plan": {"--base-size": ["-1", "0", "1", "3", "32", "100", "x", "2.5"],
+             "--target-size": ["-1", "0", "1", "32", "64", "100", "nan", ""],
+             "--levels": ["0", "0,2", "2,0", "0,0", "5", "-1", "x", ",", ""],
+             "--cls-only": [None], "--format": ["text", "record", "json"]},
+    "gradcheck": {"--dims": ["-1", "0", "1", "2", "x"], "--depth": ["-1", "0", "1", "2", "x"],
+                  "--eps": ["0", "-1", "1e-300", "1e-5", "1", "1e200", "1e308", "inf",
+                            "nan", "-inf", "x"],
+                  "--self-test": [None], "--corrupt-gradient": [None]},
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
+    argv = [command]
+    for flag, values in _ARGV_OPTIONS[command].items():
+        # --dims always: a check at the default of 8 takes about a second
+        if flag == "--dims" or draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return [arg for arg in argv if arg is not None]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@example(argv=["gradcheck", "--dims", "4", "--depth", "1", "--eps", "inf"])
+@example(argv=["gradcheck", "--self-test", "--eps", "1e200"])
+@given(argv=_argv())
+def test_generated_argv_exits_0_1_or_2(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error, from argparse
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    # numpy may warn of an overflow before the error line
+    assert (code == 1) <= any(line.startswith("error:") for line in err.getvalue().splitlines())

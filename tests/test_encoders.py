@@ -12,7 +12,6 @@ from adds.encoders import (
     FrozenImageEncoder,
     FrozenTextEncoder,
     PromptTemplate,
-    embed_label,
     embed_labels,
     make_synthetic_world,
 )
@@ -163,25 +162,25 @@ class TestFrozenTextEncoder:
     def test_unit_norm(self):
         enc = self._encoder()
         for text in ("a photo of bozu", "nothing known here"):
-            assert abs(np.linalg.norm(enc.encode_text(text)) - 1.0) < 1e-12
+            assert abs(np.linalg.norm(enc.encode_texts([text])[0]) - 1.0) < 1e-12
 
     def test_known_name_stays_near_class_vector(self):
         enc = self._encoder()
-        v = enc.encode_text("This photo contains dena")
+        v = enc.encode_texts(["This photo contains dena"])[0]
         assert v @ enc.class_vectors["dena"] > 0.99
 
     def test_unknown_text_deterministic_and_far(self):
         enc = self._encoder()
-        a = enc.encode_text("zzz unknown zzz")
-        b = enc.encode_text("zzz unknown zzz")
+        a = enc.encode_texts(["zzz unknown zzz"])[0]
+        b = enc.encode_texts(["zzz unknown zzz"])[0]
         np.testing.assert_array_equal(a, b)
         sims = [abs(a @ v) for v in enc.class_vectors.values()]
         assert max(sims) < 0.9
 
     def test_different_prompts_differ_slightly(self):
         enc = self._encoder()
-        a = enc.encode_text("photo of boka")
-        b = enc.encode_text("image of boka")
+        a = enc.encode_texts(["photo of boka"])[0]
+        b = enc.encode_texts(["image of boka"])[0]
         assert not np.array_equal(a, b)
         assert a @ b > 0.99
 
@@ -236,7 +235,7 @@ class TestFrozenTextEncoder:
         assert rows.shape == (len(texts), dim)
         for text, row in zip(texts, rows):
             assert same_bits(row, ref.encode_text(text))
-            assert same_bits(enc.encode_text(text), row)
+            assert same_bits(enc.encode_texts([text])[0], row)
         assert enc.encode_texts([]).shape == (0, dim)
 
 
@@ -246,18 +245,16 @@ class TestEmbedLabel:
         v = g.standard_normal(8)
         enc = FrozenTextEncoder(8, {"kipa": v / np.linalg.norm(v)})
         templates = [PromptTemplate(p) for p in DEFAULT_PROMPTS]
-        out = embed_label("kipa", templates, enc)
+        out = embed_labels(["kipa"], templates, enc)[0]
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
         assert out @ enc.class_vectors["kipa"] > 0.99
 
     def test_validation(self):
         enc = FrozenTextEncoder(4, {})
         with pytest.raises(ValueError):
-            embed_label("", [PromptTemplate("{}")], enc)
+            embed_labels([""], [PromptTemplate("{}")], enc)
         with pytest.raises(ValueError):
             embed_labels(["x", ""], [PromptTemplate("{}")], enc)
-        with pytest.raises(ConfigurationError):
-            embed_label("x", [], enc)
         with pytest.raises(ConfigurationError):
             embed_labels(["x"], [], enc)
 
@@ -271,7 +268,7 @@ class TestEmbedLabel:
         names = [*known, "zz", f"{known[5]} {known[2]}", f"x{known[7]}x"]
         out = embed_labels(names, templates, enc)
         assert same_bits(out, np.stack([ref.embed_label(n, templates) for n in names]))
-        assert same_bits(embed_label(names[3], templates, enc), out[3])
+        assert same_bits(embed_labels([names[3]], templates, enc)[0], out[3])
 
 
 @pytest.fixture(scope="module")

@@ -231,6 +231,12 @@ class TestGradCheck:
         with pytest.raises(AssertionError, match=r"params\[1\]"):
             grad_check(loss_fn, [used, frozen])
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, np.inf, np.nan])
+    def test_step_must_be_finite_and_positive(self, eps):
+        theta = param(rng(5).standard_normal((2, 2)))
+        with pytest.raises(ConfigurationError, match="finite-difference step"):
+            grad_check(lambda: mean_all(mul(theta, theta)), [theta], eps=eps)
+
     def test_nonfinite_loss_raises(self):
         theta = param(np.array([[np.inf]]))
 

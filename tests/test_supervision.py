@@ -181,22 +181,22 @@ class TestSelectLabels:
 
 class TestCosineBaseline:
     def test_orthogonal_and_parallel(self):
-        v = np.array([1.0, 0.0, 0.0])
+        v = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
         mat = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [-1.0, 0.0, 0.0]])
-        scores, decisions = cosine_baseline(v, mat, eta=0.5)
-        np.testing.assert_allclose(scores, [1.0, 0.0, -1.0], atol=1e-12)
-        np.testing.assert_array_equal(decisions, [True, False, False])
+        np.testing.assert_allclose(cosine_baseline(v, mat),
+                                   [[1.0, 0.0, -1.0], [0.0, -1.0, 0.0]], atol=1e-12)
 
     def test_scale_invariance(self):
         g = rng(5)
-        v = g.standard_normal(8)
+        v = g.standard_normal((3, 8))
         mat = g.standard_normal((4, 8))
-        s1, _ = cosine_baseline(v, mat)
-        s2, _ = cosine_baseline(10.0 * v, 0.1 * mat)
+        s1 = cosine_baseline(v, mat)
+        s2 = cosine_baseline(10.0 * v, 0.1 * mat)
+        assert s1.shape == (3, 4)
         np.testing.assert_allclose(s1, s2, atol=1e-12)
 
     def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError):
-            cosine_baseline(np.zeros(3), np.eye(3))
-        with pytest.raises(ValueError):
-            cosine_baseline(np.ones(3), np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="image"):
+            cosine_baseline(np.array([[1.0, 0, 0], [0, 0, 0]]), np.eye(3))
+        with pytest.raises(ValueError, match="label"):
+            cosine_baseline(np.ones((2, 3)), np.zeros((2, 3)))

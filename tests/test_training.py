@@ -1,5 +1,8 @@
 import dataclasses
 import hashlib
+import importlib.util
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +11,9 @@ from adds import tensor, training
 from adds.checkpoint import load_checkpoint, save_checkpoint
 from adds.decoder import classify, stack_forward
 from adds.errors import ConfigurationError, NumericError
-from adds.metrics import MetricsReport, metrics_report
+from adds.metrics import MetricsReport, mean_average_precision, metrics_report
 from adds.pyramid import encode_and_stack, extract_tiles, resize_bilinear
 from adds.rng import SeedStreams
-from adds.supervision import cosine_baseline
 from adds.tensor import Tensor
 from adds.training import (
     TrainConfig,
@@ -20,8 +22,10 @@ from adds.training import (
     build_world,
     cosine_baseline_scores,
     default_lr,
+    eval_samples,
     evaluation_scores,
     label_queries,
+    open_vocab_report,
     open_vocab_split,
     train,
 )
@@ -153,12 +157,7 @@ class TestTrain:
         cfg = tiny_config(epochs=4)
         full = train(cfg)
         half = train(dataclasses.replace(cfg, epochs=2))
-        resumed = train(cfg, resume=half)
-        assert resumed.loss_history == full.loss_history
-        for name in full.weights:
-            np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
-            np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
-            np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
+        assert_same_run(train(cfg, resume=half), full)
 
     def test_resumed_run_trains_through_the_flat_buffer(self, monkeypatch):
         # resume copies into the parameters in place, so every Adam step
@@ -206,23 +205,15 @@ class TestTrain:
         np.testing.assert_array_equal(evaluation_scores(legacy, n_eval=4)[0],
                                       evaluation_scores(trimmed, n_eval=4)[0])
         resumed = train(cfg, resume=legacy)
-        full = train(cfg)
-        assert resumed.loss_history == full.loss_history
-        assert set(resumed.weights) == set(full.weights)
-        for name in full.weights:
-            np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
+        assert_same_run(resumed, train(cfg))
 
     def test_float64_resume_through_file_is_bit_exact(self, tmp_path):
         cfg = tiny_config(depth=1, dtype="float64")
         full = train(cfg)
         save_checkpoint(train(dataclasses.replace(cfg, epochs=1)), tmp_path / "half.adds")
         resumed = train(cfg, resume=load_checkpoint(tmp_path / "half.adds"))
-        assert resumed.loss_history == full.loss_history
-        for name in full.weights:
-            assert resumed.weights[name].dtype == np.float64
-            np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
-            np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
-            np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
+        assert resumed.weights["head.w"].dtype == np.float64
+        assert_same_run(resumed, full)
 
     def test_selective_supervision_trains_and_resumes(self):
         # 6 seen labels above a threshold of 4: every batch scores only its
@@ -235,12 +226,8 @@ class TestTrain:
         assert (full.rng["streams"]["selection"]
                 != fresh.capture()["streams"]["selection"])
         resumed = train(cfg, resume=train(dataclasses.replace(cfg, epochs=1)))
-        assert resumed.loss_history == full.loss_history
         assert resumed.rng == full.rng
-        for name in full.weights:
-            np.testing.assert_array_equal(full.weights[name], resumed.weights[name])
-            np.testing.assert_array_equal(full.opt_m[name], resumed.opt_m[name])
-            np.testing.assert_array_equal(full.opt_v[name], resumed.opt_v[name])
+        assert_same_run(resumed, full)
 
     @pytest.mark.parametrize("overrides, history", [
         ({}, [0.5170710881551107, 0.35675496856371564]),
@@ -269,6 +256,11 @@ class TestTrain:
         with pytest.raises(NumericError, match="epoch 1 step 0"):
             train(tiny_config(batch_size=8))
         assert len(calls) == 4
+
+    def test_non_finite_parameter_names_epoch_and_step(self):
+        # one step of 1e308, so no later minibatch loss sees what it left
+        with pytest.raises(NumericError, match=r"epoch 0 step 0: decoder\.block0\."):
+            train(tiny_config(lr=1e308, epochs=1, n_train=8))
 
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
@@ -329,14 +321,10 @@ class TestEvaluation:
         assert set(report.f1_at) == {1, 3}
         assert 0.0 <= report.map <= 1.0
 
-    def test_cosine_baseline_scores(self, ckpt):
-        cfg = tiny_config()
-        world = build_world(cfg)
-        stream = SeedStreams(7).stream("eval_data")
-        samples = world.sample_many(stream, 6)
-        scores = cosine_baseline_scores(
-            world, [img for img, _ in samples], world.class_names
-        )
+    def test_cosine_baseline_scores(self):
+        world = build_world(tiny_config())
+        images = [img for img, _ in eval_samples(world, 6, 7)]
+        scores = cosine_baseline_scores(world, images, world.class_names)
         assert scores.shape == (6, 8)
         assert np.all(np.abs(scores) <= 1.0 + 1e-12)
 
@@ -350,6 +338,47 @@ class TestEvaluation:
         assert hashlib.sha256(scores.tobytes()).hexdigest() == (
             "ff2822aaf8239cbbe234ff47cb0997f2014b0ee7353f0ef88264e7787ae48679")
 
+    def test_open_vocab_report_slices_one_forward(self, ckpt):
+        world = build_world(tiny_config())
+        names = world.class_names
+        scores, labels, _ = evaluation_scores(ckpt, vocab=names, n_eval=12, eval_seed=3)
+        cosine = cosine_baseline_scores(
+            world, [img for img, _ in eval_samples(world, 12, 3)], names)
+        seen, unseen = open_vocab_split(names, 6)
+        groups = {"seen": [names.index(n) for n in seen],
+                  "unseen": [names.index(n) for n in unseen], "all": list(range(8))}
+        report = open_vocab_report(ckpt, n_eval=12, eval_seed=3)
+        assert report == {
+            kind: {g: mean_average_precision(s[:, c], labels[:, c])[0]
+                   for g, c in groups.items()}
+            for kind, s in (("decoder", scores), ("cosine", cosine))}
+
+    @pytest.mark.parametrize("weight, error", [
+        (np.zeros((8, 16), np.float32), r"has shape \(8, 16\), model \(8, 8\)"),
+        (np.full((8, 8), np.nan, np.float32), "is not finite")], ids=["shape", "nan"])
+    def test_bad_weight_named_by_both_loaders(self, ckpt, weight, error):
+        name = "decoder.block0.attn_text.wq"
+        bad = dataclasses.replace(ckpt, weights={**ckpt.weights, name: weight})
+        with pytest.raises((ConfigurationError, NumericError), match=f"{name} {error}"):
+            evaluation_scores(bad, n_eval=2)
+        with pytest.raises((ConfigurationError, NumericError), match=f"{name} {error}"):
+            train(tiny_config(epochs=3), resume=bad)
+
+    def test_open_vocabulary_demo_prints_the_report(self, ckpt, tmp_path, monkeypatch,
+                                                    capsys):
+        spec = importlib.util.spec_from_file_location(
+            "demo04", Path(__file__).parents[1] / "demos" / "04_open_vocabulary_eval.py")
+        demo = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(demo)
+        save_checkpoint(ckpt, tmp_path / "demo.adds")
+        monkeypatch.setattr(demo, "CKPT", tmp_path / "demo.adds")
+        demo.main()
+        rows = {m[1]: (m[2], m[3]) for m in re.finditer(
+            r"^(seen|unseen|all) +([\d.]+) +([\d.]+)$", capsys.readouterr().out, re.M)}
+        report = open_vocab_report(ckpt, n_eval=demo.N_EVAL, eval_seed=demo.EVAL_SEED)
+        assert rows == {g: (f"{report['decoder'][g]:.3f}", f"{report['cosine'][g]:.3f}")
+                        for g in ("seen", "unseen", "all")}
+
     def test_label_queries_unit_norm(self):
         world = build_world(tiny_config())
         q = label_queries(world, world.class_names)
@@ -358,6 +387,14 @@ class TestEvaluation:
 
 def _same_bits(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_run(a, b):
+    """Equal loss histories, and every weight and Adam moment bit for bit."""
+    assert a.loss_history == b.loss_history
+    for blobs in ("weights", "opt_m", "opt_v"):
+        assert set(getattr(a, blobs)) == set(getattr(b, blobs))
+        assert all(_same_bits(v, getattr(b, blobs)[n]) for n, v in getattr(a, blobs).items())
 
 
 class TestChunkedInference:
@@ -423,8 +460,10 @@ class TestChunkedInference:
         world = build_world(tiny_config(image_side=side, base_size=base))
         images = [img for img, _ in world.sample_many(SeedStreams(4).stream("images"), 7)]
         q = label_queries(world, world.class_names)
-        expect = [cosine_baseline(world.image_encoder.encode_tiles(
-            resize_bilinear(img, base)[None])[0, 0], q)[0] for img in images]
+        expect = []
+        for img in images:
+            c = world.image_encoder.encode_tiles(resize_bilinear(img, base)[None])[0, 0]
+            expect.append((q @ c) / (np.linalg.norm(q, axis=1) * np.linalg.norm(c)))
         monkeypatch.setattr(tensor, "CHUNK_BYTES", 3 * base**2 * 8)
         assert _same_bits(cosine_baseline_scores(world, images, world.class_names),
                           np.stack(expect))
