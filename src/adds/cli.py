@@ -39,6 +39,8 @@ OUT_DIR_ENV = "ADDS_OUT_DIR"
 
 
 def _out_dir(flag_value) -> Path:
+    """The output directory, made if missing. A run asks for it only once it
+    has something to write, so a failed run leaves no empty directory."""
     path = Path(flag_value or os.environ.get(OUT_DIR_ENV, "."))
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -174,7 +176,6 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    out_dir = _out_dir(args.out)
     try:
         if args.manifest:
             cfg_dict, timestamp = _read_manifest(args.manifest)
@@ -185,6 +186,7 @@ def cmd_train(args) -> int:
             timestamp = _now()
         config = TrainConfig.from_dict(cfg_dict)
         ckpt = train(config)  # ConfigurationError: a world that cannot be built
+        out_dir = _out_dir(args.out)
     except (ConfigurationError, FormatError, NumericError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -220,7 +222,6 @@ _EVAL_SETTINGS = ("checkpoint", "ks", "vocab", "n_eval", "eval_seed")
 
 
 def cmd_eval(args) -> int:
-    out_dir = _out_dir(args.out)
     try:
         if args.manifest:
             settings, timestamp = _read_manifest(args.manifest, _EVAL_SETTINGS)
@@ -239,7 +240,13 @@ def cmd_eval(args) -> int:
             n_eval=settings["n_eval"],
             eval_seed=settings["eval_seed"],
         )
+        bad = np.argwhere(~np.isfinite(scores))
+        if len(bad):
+            image, label = bad[0]
+            raise NumericError(f"score of eval image {image} for label {vocab[label]!r} "
+                               f"is {scores[image, label]}")
         report = metrics_report(scores, labels, settings["ks"])
+        out_dir = _out_dir(args.out)
     except (ValueError, NumericError, OSError) as exc:  # FormatError etc. are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -396,7 +403,10 @@ def main(argv=None) -> int:
     if args.command == "eval" and not args.manifest and not args.checkpoint:
         print("error: eval needs --checkpoint or --manifest", file=sys.stderr)
         return 2
-    return args.func(args)
+    # an overflow or NaN is reported by the explicit check that meets it, as
+    # one error line; numpy's warnings would print ahead of it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return args.func(args)
 
 
 if __name__ == "__main__":

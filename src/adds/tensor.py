@@ -14,6 +14,11 @@ holds one subgraph per image. An op none of whose inputs needs a gradient (no
 trainable leaf upstream) returns a plain leaf, so inference keeps no graph.
 Tests run in float64, training may run in float32; ops preserve the input
 dtype.
+
+``backward`` consumes the graph it walks, so a graph is back-propagated once.
+Afterwards only leaves hold ``.grad``, and nothing holds the activations the
+graph saved: a training step's memory is bounded by its own graph, even
+while the caller keeps the previous step's loss.
 """
 
 import numpy as np
@@ -26,7 +31,9 @@ class Tensor:
 
     Leaf tensors with ``trainable=True`` are parameters: ``backward`` leaves
     their accumulated gradient in ``.grad``. Non-trainable leaves get a zero
-    gradient (frozen-parameter contract).
+    gradient (frozen-parameter contract). An interior node keeps its parents
+    and backward closure until ``backward`` passes its gradient on; then it
+    drops them and its ``.grad``, and holds only its value.
     """
 
     __slots__ = ("value", "grad", "trainable", "_parents", "_backward")
@@ -335,7 +342,16 @@ def feed_forward(x: Tensor, params) -> Tensor:
 
 
 def backward(root: Tensor) -> None:
-    """Accumulate gradients of a scalar root into every reachable tensor."""
+    """Accumulate gradients of a scalar root into every reachable leaf, and
+    consume the graph on the way.
+
+    Each node's gradient buffer is made, as zeros, just before the first of
+    its consumers adds into it. Once a node has passed its gradient on, it
+    drops its gradient, its backward closure and its parents, so the
+    activations its closure saved are freed as the pass goes and the root is
+    left a leaf. Only leaves keep ``.grad``: a parameter its accumulated
+    gradient, a non-trainable leaf zeros.
+    """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward expects a scalar (1,1) root, got {root.value.shape}")
     topo: list[Tensor] = []
@@ -349,16 +365,23 @@ def backward(root: Tensor) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        node.grad = None
         stack.append((node, True))
         for p in node._parents:
             stack.append((p, False))
-    for node in topo:
-        node.grad = np.zeros_like(node.value)
     root.grad = np.ones_like(root.value)
-    for node in reversed(topo):
+    # reversed post-order: a node comes after every consumer of it
+    while topo:
+        node = topo.pop()
+        if not node._parents:
+            # frozen-parameter contract: leaves that are not trainable carry zero grad
+            if not node.trainable:
+                node.grad = np.zeros_like(node.value)
+            continue
+        for p in node._parents:
+            if p.grad is None:
+                p.grad = np.zeros_like(p.value)
         if node._backward is not None:
             node._backward(node.grad)
-    # frozen-parameter contract: leaves that are not trainable carry zero grad
-    for node in topo:
-        if not node._parents and not node.trainable:
-            node.grad = np.zeros_like(node.value)
+        node.grad = node._backward = None
+        node._parents = ()

@@ -201,6 +201,29 @@ class TestTrainEval:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_out_is_a_file_exit_1(self, capsys, tmp_path, config_file, command):
+        source = ("--config", str(config_file))
+        if command == "eval":
+            assert run(capsys, "train", *source, "--out", str(tmp_path / "run"))[0] == 0
+            source = ("--checkpoint", str(tmp_path / "run" / "checkpoint.adds"),
+                      "--n-eval", "4")
+        out = tmp_path / "taken"
+        out.write_text("a file\n")
+        code, _, err = run(capsys, command, *source, "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and "taken" in err
+        assert out.read_text() == "a file\n"
+
+    @pytest.mark.parametrize("command, flag", [("train", "--config"),
+                                               ("eval", "--checkpoint")])
+    def test_failed_run_makes_no_out_dir(self, capsys, tmp_path, command, flag):
+        code, _, err = run(capsys, command, flag, str(tmp_path / "missing"),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error:")
+        assert not (tmp_path / "out").exists()
+
     def test_eval_missing_file_exit_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "eval", "--checkpoint",
                            str(tmp_path / "none.adds"), "--out", str(tmp_path))
@@ -320,14 +343,30 @@ class TestTrainEval:
         assert err.startswith("error: epoch 0 step 0")
         assert list(tmp_path.iterdir()) == [config_file]
 
+    # the update overflows; the error line must come first, with no numpy warning
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_parameter_exit_1(self, capsys, tmp_path):
         # one step, so no later minibatch loss sees what the update left
         path = tmp_path / "huge_lr.cfg"
         path.write_text(TINY_CONFIG + "lr = 1e308\nepochs = 1\nn_train = 8\n")
-        code, _, err = run(capsys, "train", "--config", str(path), "--out", str(tmp_path))
+        code, _, err = run(capsys, "train", "--config", str(path),
+                           "--out", str(tmp_path / "out"))
         assert code == 1
         assert err.startswith("error: epoch 0 step 0: decoder.block0.")
-        assert not (tmp_path / "checkpoint.adds").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_eval_non_finite_scores_exit_1(self, capsys, tmp_path, config_file):
+        run(capsys, "train", "--config", str(config_file), "--out", str(tmp_path))
+        ckpt = load_checkpoint(tmp_path / "checkpoint.adds")
+        wq = ckpt.weights["decoder.block0.attn_text.wq"]
+        wq[...] = np.finfo(wq.dtype).max  # finite, but its products overflow
+        save_checkpoint(ckpt, tmp_path / "huge.adds")
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "huge.adds"),
+                           "--n-eval", "4", "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert err.startswith("error: score of eval image 0 for label ")
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize("defect", ["nan", "shape"])
     def test_eval_bad_weight_exit_1(self, capsys, tmp_path, config_file, defect):
@@ -448,8 +487,11 @@ class TestGradcheck:
                            "--corrupt-gradient")
         assert code == 1
 
+    # an eps of 1e200 overflows the perturbed loss
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args", [("--dims", "0"), ("--depth", "0"), ("--eps", "0"),
-                                      ("--self-test", "--eps", "0")])
+                                      ("--self-test", "--eps", "0"),
+                                      ("--self-test", "--eps", "1e200")])
     def test_bad_setting_exit_1(self, capsys, args):
         code, out, err = run(capsys, "gradcheck", *args)
         assert code == 1
@@ -482,6 +524,7 @@ def _argv(draw):
     return [arg for arg in argv if arg is not None]
 
 
+@pytest.mark.filterwarnings("error")
 @settings(max_examples=120, deadline=None, derandomize=True)
 @example(argv=["gradcheck", "--dims", "4", "--depth", "1", "--eps", "inf"])
 @example(argv=["gradcheck", "--self-test", "--eps", "1e200"])
@@ -495,5 +538,4 @@ def test_generated_argv_exits_0_1_or_2(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
-    # numpy may warn of an overflow before the error line
-    assert (code == 1) <= any(line.startswith("error:") for line in err.getvalue().splitlines())
+    assert (code == 1) <= err.getvalue().startswith("error:")

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from adds.tensor import (
     mul,
     multi_head_attention,
     param,
+    relu,
     sigmoid,
     softmax,
 )
@@ -405,6 +408,21 @@ class TestBackwardContracts:
         backward(loss)
         np.testing.assert_array_equal(frozen.grad, 0.0)
         assert np.any(free.grad != 0)
+
+    def test_backward_consumes_the_graph(self):
+        g = rng(4)
+        x = Tensor(g.standard_normal((3, 4)))
+        w = param(g.standard_normal((4, 4)))
+        hidden = relu(matmul(x, w))
+        saved = weakref.ref(hidden.value)
+        loss = mean_all(mul(hidden, hidden))
+        del hidden
+        backward(loss)
+        # the caller still holds the root, but no longer the activations under it
+        assert saved() is None
+        assert loss._parents == () and loss._backward is None and loss.grad is None
+        assert np.any(w.grad != 0)
+        np.testing.assert_array_equal(x.grad, 0.0)
 
     def test_shared_node_accumulates(self):
         x = param(np.array([[2.0]]))

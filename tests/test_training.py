@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -261,6 +262,30 @@ class TestTrain:
         # one step of 1e308, so no later minibatch loss sees what it left
         with pytest.raises(NumericError, match=r"epoch 0 step 0: decoder\.block0\."):
             train(tiny_config(lr=1e308, epochs=1, n_train=8))
+
+    def test_a_step_holds_one_graph(self, monkeypatch):
+        # 240 px: 85 tiles, 1,445 kv rows, so each step's graph is tens of MB
+        # and outweighs everything else train() allocates
+        cfg = tiny_config(classes=16, n_seen=12, image_side=240, embed_dim=16, depth=6,
+                          heads=2, n_train=16, batch_size=8, epochs=1)
+        world = build_world(cfg)
+        at_entry = []
+
+        def traced_backward(root):
+            at_entry.append(tracemalloc.get_traced_memory()[0])
+            tensor.backward(root)
+
+        monkeypatch.setattr(training, "backward", traced_backward)
+        tracemalloc.start()
+        try:
+            train(cfg, world=world)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the first step's graph is gone before the second is built, and the
+        # second is freed while backward walks it
+        assert len(at_entry) == 2
+        assert peak <= 1.25 * at_entry[1]
 
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
