@@ -1,42 +1,17 @@
 """Verifying the hand-rolled backward pass with finite differences.
 
 The decoder's gradients are computed by a small reverse-mode engine written
-for this package. This script builds a one-block decoder with a classifier
-head and the asymmetric loss, then compares every analytic gradient against
-central finite differences. It also breaks the gradient on purpose to show
-that the check actually catches errors.
+for this package. This script builds a one-block decoder (two heads) with a
+classifier head and the asymmetric loss, then compares every analytic
+gradient against central finite differences. It also breaks the gradient on
+purpose to show that the check actually catches errors.
 """
 
-import numpy as np
-
-from adds.decoder import classify, init_head, init_stack, stack_forward
-from adds.optim import grad_check
-from adds.rng import SeedStreams
-from adds.supervision import AslConfig, asl_loss_node
-from adds.tensor import Tensor
-
-
-def build(seed=7, dims=6):
-    streams = SeedStreams(seed)
-    stack = init_stack(streams.stream("init"), depth=1, embed_dim=dims,
-                       heads=2, dropout_rate=0.0, dtype=np.float64)
-    head = init_head(streams.stream("head"), dims, dtype=np.float64)
-    data = streams.stream("data")
-    q0 = data.standard_normal((3, dims))
-    kv = data.standard_normal((5, dims))
-    y = np.array([1, 0, 1])
-    cfg = AslConfig()
-
-    def loss_fn():
-        q = stack_forward(Tensor(q0), Tensor(kv), stack, training=False)
-        return asl_loss_node(classify(q, head), y, cfg)
-
-    params = [t for _, t in stack.tensors()] + [t for _, t in head.tensors()]
-    return loss_fn, params
+from adds.optim import decoder_gradcheck_loss, grad_check
 
 
 def main():
-    loss_fn, params = build()
+    loss_fn, params = decoder_gradcheck_loss(dims=6, depth=1)
     n = sum(p.value.size for p in params)
     print(f"checking {n} parameters through 1 decoder block + head + loss ...")
     err = grad_check(loss_fn, params)
@@ -45,19 +20,7 @@ def main():
 
     # now sabotage the loss: its value depends on a weight whose gradient
     # path is silently dropped, exactly the kind of bug the check exists for
-    loss_fn, params = build()
-    w = params[0]
-
-    def corrupted():
-        inner = loss_fn()
-        extra = 1e-2 * float(np.sum(w.value))
-
-        def backward(g):
-            inner.grad += g
-
-        return Tensor(inner.value + extra, _parents=(inner,), _backward=backward)
-
-    err = grad_check(corrupted, params)
+    err = grad_check(*decoder_gradcheck_loss(dims=6, depth=1, corrupt=True))
     print(f"after corruption:   {err:.3e}  "
           f"({'OK' if err < 1e-4 else 'BROKEN'} at threshold 1e-4)")
 

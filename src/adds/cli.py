@@ -3,7 +3,9 @@
 Every run writes a manifest (resolved settings, seeds, artifact paths) next to
 its outputs; rerunning with ``--manifest`` reproduces the outputs bit-exactly.
 Each artifact is replaced whole (``atomic_open``), never left half written.
-Exit codes: 0 success, 1 validation/check failure, 2 usage error.
+Exit codes: 0 success, 1 validation/check failure, 2 usage error. Every exit 1
+prints one ``error: …`` line; ``main`` alone turns a ValueError, NumericError or
+OSError, a failed write included, into one. A TypeError is a bug: it is not caught.
 """
 
 import argparse
@@ -19,15 +21,13 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_open
-from .decoder import classify, init_head, init_stack, stack_forward
 from .errors import ConfigurationError, FormatError, NumericError
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import metrics_report
-from .optim import grad_check
+from .optim import decoder_gradcheck_loss, grad_check
 from .pyramid import build_plan, cost_report
 from .rng import SeedStreams
-from .supervision import AslConfig, asl_loss_node
-from .tensor import Tensor
+from .tensor import Tensor, mean_all, mul, scale
 from .training import (
     TrainConfig,
     evaluation_scores,
@@ -52,12 +52,14 @@ def _now() -> str:
     )
 
 
-def _write_manifest(out_dir: Path, manifest: dict) -> Path:
-    path = out_dir / "run_manifest.json"
-    with atomic_open(path) as fh:
+def _write_manifest(out_dir: Path, subcommand: str, config: dict, timestamp: str,
+                    run_id: str, seeds: dict, artifacts: dict) -> None:
+    manifest = {"tool_version": __version__, "subcommand": subcommand, "config": config,
+                "seeds": seeds, "timestamp": timestamp, "run_id": run_id,
+                "artifacts": artifacts}
+    with atomic_open(out_dir / "run_manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    return path
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
@@ -73,49 +75,60 @@ def _parse(kind, text: str):
     return kind(text)
 
 
+def _read_text(path, error=ConfigurationError) -> str:
+    """A UTF-8 text file; ``error`` names the file if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def read_config_file(path) -> dict:
     """Flat key = value config; keys mirror TrainConfig fields."""
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigurationError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELDS:
-                raise ConfigurationError(f"unknown config key {key!r}")
-            try:
-                out[key] = _parse(_FIELDS[key].type, value)
-            except (ValueError, KeyError):
-                raise ConfigurationError(
-                    f"{path}:{lineno}: {key} must be {field_rule(_FIELDS[key])}, "
-                    f"got {value!r}") from None
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigurationError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELDS:
+            raise ConfigurationError(f"unknown config key {key!r}")
+        try:
+            out[key] = _parse(_FIELDS[key].type, value)
+        except (ValueError, KeyError):
+            raise ConfigurationError(
+                f"{path}:{lineno}: {key} must be {field_rule(_FIELDS[key])}, "
+                f"got {value!r}") from None
     return out
 
 
-def _read_manifest(path, keys=()) -> tuple[dict, str]:
-    """(config, timestamp) of a run manifest; ``keys`` must be in its config."""
+def _read_manifest(path, rules: dict) -> tuple[dict, str]:
+    """(config, timestamp) of a run manifest. ``rules`` maps each key its
+    config must hold to (what the key takes, a test of its value)."""
     try:
-        manifest = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        manifest = json.loads(_read_text(path, FormatError))
+    except json.JSONDecodeError as exc:
         raise FormatError(f"manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict):
         manifest = {}
     config, timestamp = manifest.get("config"), manifest.get("timestamp")
     if not isinstance(config, dict) or not isinstance(timestamp, str):
         raise FormatError(f"manifest {path} needs a config object and a timestamp")
-    missing = [k for k in keys if k not in config]
-    if missing:
-        raise FormatError(f"manifest {path} config lacks {', '.join(missing)}")
+    for key, (takes, ok) in rules.items():
+        if key not in config:
+            raise FormatError(f"manifest {path} config lacks {key}")
+        if not ok(config[key]):
+            raise FormatError(f"manifest {path}: {key} must be {takes}, "
+                              f"got {config[key]!r}")
     return config, timestamp
 
 
 def _read_vocab(value: str) -> list[str]:
     path = Path(value)
     if path.is_file():
-        return [line.strip() for line in path.read_text().splitlines() if line.strip()]
+        return [line.strip() for line in _read_text(path).splitlines() if line.strip()]
     return [x.strip() for x in value.split(",") if x.strip()]
 
 
@@ -124,17 +137,12 @@ def _read_vocab(value: str) -> list[str]:
 
 
 def cmd_plan(args) -> int:
-    try:
-        levels = [int(x) for x in args.levels.split(",")] if args.levels else None
-        plan = build_plan(
-            args.base_size,
-            args.target_size,
-            selected_levels=levels,
-            cls_only_non_bottom=args.cls_only,
-        )
-    except (ConfigurationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    plan = build_plan(
+        args.base_size,
+        args.target_size,
+        selected_levels=_parse(list[int], args.levels or "") or None,
+        cls_only_non_bottom=args.cls_only,
+    )
     report = cost_report(plan)
     if args.format == "record":
         record = {
@@ -176,39 +184,25 @@ def cmd_plan(args) -> int:
 
 
 def cmd_train(args) -> int:
-    try:
-        if args.manifest:
-            cfg_dict, timestamp = _read_manifest(args.manifest)
-        else:
-            cfg_dict = read_config_file(args.config) if args.config else {}
-            cfg_dict.update((k, v) for k, v in vars(args).items()
-                            if k in _FIELDS and v is not None)
-            timestamp = _now()
-        config = TrainConfig.from_dict(cfg_dict)
-        ckpt = train(config)  # ConfigurationError: a world that cannot be built
-        out_dir = _out_dir(args.out)
-    except (ConfigurationError, FormatError, NumericError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    if args.manifest:
+        cfg_dict, timestamp = _read_manifest(args.manifest, {})
+    else:
+        cfg_dict = read_config_file(args.config) if args.config else {}
+        cfg_dict.update((k, v) for k, v in vars(args).items()
+                        if k in _FIELDS and v is not None)
+        timestamp = _now()
+    config = TrainConfig.from_dict(cfg_dict)
+    ckpt = train(config)
+    out_dir = _out_dir(args.out)
     ckpt_path = out_dir / "checkpoint.adds"
     loss_path = out_dir / "loss_log.txt"
     save_checkpoint(ckpt, ckpt_path)
     with atomic_open(loss_path) as fh:
         for epoch, loss in enumerate(ckpt.loss_history):
             fh.write(f"epoch {epoch} loss {loss:.10f}\n")
-    _write_manifest(out_dir, {
-        "tool_version": __version__,
-        "subcommand": "train",
-        "config": config.to_dict(),
-        "seeds": {"seed": config.seed, "world_seed": config.world_seed},
-        "timestamp": timestamp,
-        "run_id": config.hash()[:16],
-        "artifacts": {
-            "checkpoint": str(ckpt_path),
-            "loss_log": str(loss_path),
-        },
-    })
+    _write_manifest(out_dir, "train", config.to_dict(), timestamp, config.hash()[:16],
+                    {"seed": config.seed, "world_seed": config.world_seed},
+                    {"checkpoint": str(ckpt_path), "loss_log": str(loss_path)})
     print(f"trained {config.epochs} epochs; final loss "
           f"{ckpt.loss_history[-1]:.6f}; wrote {ckpt_path}")
     return 0
@@ -218,39 +212,44 @@ def cmd_train(args) -> int:
 # eval
 
 
-_EVAL_SETTINGS = ("checkpoint", "ks", "vocab", "n_eval", "eval_seed")
+# what each eval-manifest setting takes, and a test of a value (a JSON true is
+# a bool, not an int)
+_EVAL_SETTINGS = {
+    "checkpoint": ("a string", lambda v: type(v) is str),
+    "ks": ("a non-empty list of ints >= 1",
+           lambda v: type(v) is list and v and all(type(k) is int and k >= 1 for k in v)),
+    "vocab": ("null or a list of strings",
+              lambda v: v is None or type(v) is list and all(type(n) is str for n in v)),
+    "n_eval": ("an int >= 1", lambda v: type(v) is int and v >= 1),
+    "eval_seed": ("an int", lambda v: type(v) is int),
+}
 
 
 def cmd_eval(args) -> int:
-    try:
-        if args.manifest:
-            settings, timestamp = _read_manifest(args.manifest, _EVAL_SETTINGS)
-        else:
-            settings = {
-                "checkpoint": args.checkpoint,
-                "ks": sorted(args.k) if args.k else [3, 5],
-                "vocab": _read_vocab(args.vocab) if args.vocab else None,
-                "n_eval": args.n_eval,
-                "eval_seed": args.eval_seed,
-            }
-            timestamp = _now()
-        scores, labels, vocab = evaluation_scores(
-            load_checkpoint(settings["checkpoint"]),
-            vocab=settings["vocab"],
-            n_eval=settings["n_eval"],
-            eval_seed=settings["eval_seed"],
-        )
-        bad = np.argwhere(~np.isfinite(scores))
-        if len(bad):
-            image, label = bad[0]
-            raise NumericError(f"score of eval image {image} for label {vocab[label]!r} "
-                               f"is {scores[image, label]}")
-        report = metrics_report(scores, labels, settings["ks"])
-        out_dir = _out_dir(args.out)
-    except (ValueError, NumericError, OSError) as exc:  # FormatError etc. are ValueErrors
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
+    if args.manifest:
+        settings, timestamp = _read_manifest(args.manifest, _EVAL_SETTINGS)
+    else:
+        settings = {
+            "checkpoint": args.checkpoint,
+            "ks": sorted(args.k) if args.k else [3, 5],
+            "vocab": _read_vocab(args.vocab) if args.vocab else None,
+            "n_eval": 200 if args.n_eval is None else args.n_eval,
+            "eval_seed": 1234 if args.eval_seed is None else args.eval_seed,
+        }
+        timestamp = _now()
+    scores, labels, vocab = evaluation_scores(
+        load_checkpoint(settings["checkpoint"]),
+        vocab=settings["vocab"],
+        n_eval=settings["n_eval"],
+        eval_seed=settings["eval_seed"],
+    )
+    bad = np.argwhere(~np.isfinite(scores))
+    if len(bad):
+        image, label = bad[0]
+        raise NumericError(f"score of eval image {image} for label {vocab[label]!r} "
+                           f"is {scores[image, label]}")
+    report = metrics_report(scores, labels, settings["ks"])
+    out_dir = _out_dir(args.out)
     run_id = hashlib.sha256(
         json.dumps(settings, sort_keys=True).encode()
     ).hexdigest()[:16]
@@ -261,15 +260,8 @@ def cmd_eval(args) -> int:
     metrics_path = out_dir / "metrics.jsonl"
     with atomic_open(metrics_path) as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _write_manifest(out_dir, {
-        "tool_version": __version__,
-        "subcommand": "eval",
-        "config": settings,
-        "seeds": {"eval_seed": settings["eval_seed"]},
-        "timestamp": timestamp,
-        "run_id": run_id,
-        "artifacts": {"metrics": str(metrics_path)},
-    })
+    _write_manifest(out_dir, "eval", settings, timestamp, run_id,
+                    {"eval_seed": settings["eval_seed"]}, {"metrics": str(metrics_path)})
     if args.format == "record":
         print(json.dumps(record, sort_keys=True))
     else:
@@ -284,59 +276,19 @@ def cmd_eval(args) -> int:
 # gradcheck
 
 
-def _decoder_gradcheck_loss(dims, depth, corrupt):
-    streams = SeedStreams(7)
-    stack = init_stack(streams.stream("init"), depth=depth, embed_dim=dims,
-                       heads=1, kind="dual_modal", dropout_rate=0.0,
-                       dtype=np.float64)
-    head = init_head(streams.stream("head"), dims, dtype=np.float64)
-    data = streams.stream("data")
-    q0 = data.standard_normal((3, dims))
-    kv = data.standard_normal((5, dims))
-    y = np.array([1, 0, 1])
-    cfg = AslConfig(gamma_pos=0.0, gamma_neg=4.0, margin=0.05)
-    params = [t for _, t in stack.tensors()] + [t for _, t in head.tensors()]
-
-    def loss_fn():
-        q = stack_forward(Tensor(q0), Tensor(kv), stack, training=False)
-        loss = asl_loss_node(classify(q, head), y, cfg)
-        if corrupt:
-            # value depends on a weight but the gradient path is dropped
-            extra = 1e-2 * float(np.sum(params[0].value))
-            inner = loss
-
-            def backward(g):
-                inner.grad += g
-
-            loss = Tensor(loss.value + extra, _parents=(inner,), _backward=backward)
-        return loss
-
-    return loss_fn, params
-
-
 def cmd_gradcheck(args) -> int:
-    try:
-        if args.self_test:
-            streams = SeedStreams(3)
-            theta = Tensor(streams.stream("theta").standard_normal((4, 4)),
-                           trainable=True)
+    if args.self_test:
+        theta = Tensor(SeedStreams(3).stream("theta").standard_normal((4, 4)),
+                       trainable=True)
+        params, threshold = [theta], 1e-9
 
-            def loss_fn():
-                from .tensor import mean_all, mul, scale
-
-                n = theta.value.size
-                return scale(mean_all(mul(theta, theta)), 0.5 * n)
-
-            err = grad_check(loss_fn, [theta], eps=args.eps)
-            threshold = 1e-9
-        else:
-            loss_fn, params = _decoder_gradcheck_loss(args.dims, args.depth,
-                                                      args.corrupt_gradient)
-            err = grad_check(loss_fn, params, eps=args.eps)
-            threshold = 1e-4
-    except (ConfigurationError, NumericError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        def loss_fn():  # 0.5 * sum(theta ** 2), whose gradient is theta
+            return scale(mean_all(mul(theta, theta)), 0.5 * theta.value.size)
+    else:
+        loss_fn, params = decoder_gradcheck_loss(args.dims, args.depth,
+                                                 args.corrupt_gradient)
+        threshold = 1e-4
+    err = grad_check(loss_fn, params, eps=args.eps)
     print(f"max relative gradient error: {err:.3e} (threshold {threshold:g})")
     if err >= threshold:
         print("error: analytic and numeric gradients differ", file=sys.stderr)
@@ -380,8 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="F1@k cutoff; repeatable (default 3 and 5)")
     p.add_argument("--vocab",
                    help="comma-separated label names, or a file with one per line")
-    p.add_argument("--n-eval", dest="n_eval", type=int, default=200)
-    p.add_argument("--eval-seed", dest="eval_seed", type=int, default=1234)
+    p.add_argument("--n-eval", dest="n_eval", type=int, help="default 200")
+    p.add_argument("--eval-seed", dest="eval_seed", type=int, help="default 1234")
     p.add_argument("--out", help=f"output dir (default ${OUT_DIR_ENV} or cwd)")
     p.add_argument("--format", choices=("text", "record"), default="text")
     p.set_defaults(func=cmd_eval)
@@ -403,10 +355,22 @@ def main(argv=None) -> int:
     if args.command == "eval" and not args.manifest and not args.checkpoint:
         print("error: eval needs --checkpoint or --manifest", file=sys.stderr)
         return 2
+    # a rerun replays its manifest's settings, so it takes no option that sets one
+    allowed = {"command", "func", "manifest", "out", "format"}
+    ignored = [k for k, v in vars(args).items() if v is not None and k not in allowed]
+    if getattr(args, "manifest", None) and ignored:
+        name = ignored[0].replace("_", "-")
+        print(f"error: --{name} cannot be combined with --manifest", file=sys.stderr)
+        return 2
     # an overflow or NaN is reported by the explicit check that meets it, as
     # one error line; numpy's warnings would print ahead of it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return args.func(args)
+        try:
+            return args.func(args)
+        # FormatError, ConfigurationError and ShapeError are ValueErrors
+        except (ValueError, NumericError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

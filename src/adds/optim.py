@@ -4,7 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoder import classify, init_head, init_stack, stack_forward
 from .errors import ConfigurationError, NumericError
+from .rng import SeedStreams
+from .supervision import AslConfig, asl_loss_node
 from .tensor import Tensor, backward
 
 
@@ -149,3 +152,33 @@ def grad_check(loss_fn, params: list[Tensor], eps: float = 1e-5) -> float:
             rel = abs(a_j - numeric) / max(abs(a_j), abs(numeric), 1e-4)
             max_rel = max(max_rel, rel)
     return max_rel
+
+
+def decoder_gradcheck_loss(dims: int, depth: int, corrupt: bool = False):
+    """(loss_fn, params) for ``grad_check``: a float64 decoder stack, 2 heads if
+    ``dims`` is even, else 1, with head and ASL loss over 3 queries and 5 kv
+    rows. ``corrupt`` adds a weight-dependent term whose gradient is dropped."""
+    streams = SeedStreams(7)
+    stack = init_stack(streams.stream("init"), depth=depth, embed_dim=dims,
+                       heads=2 if dims % 2 == 0 else 1, dropout_rate=0.0,
+                       dtype=np.float64)
+    head = init_head(streams.stream("head"), dims, dtype=np.float64)
+    data = streams.stream("data")
+    q0 = data.standard_normal((3, dims))
+    kv = data.standard_normal((5, dims))
+    y = np.array([1, 0, 1])
+    params = [t for _, t in stack.tensors()] + [t for _, t in head.tensors()]
+
+    def loss_fn():
+        q = stack_forward(Tensor(q0), Tensor(kv), stack, training=False)
+        loss = asl_loss_node(classify(q, head), y, AslConfig())
+        if not corrupt:
+            return loss
+        extra = 1e-2 * float(np.sum(params[0].value))
+
+        def pass_through(g):
+            loss.grad += g
+
+        return Tensor(loss.value + extra, _parents=(loss,), _backward=pass_through)
+
+    return loss_fn, params

@@ -46,6 +46,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """One small training run and one evaluation of it, shared by the tests
+    that only read them: the config, the checkpoint, both manifests and the
+    world's class names."""
+    root = tmp_path_factory.mktemp("tiny_run")
+    config = root / "tiny.cfg"
+    config.write_text(_FUZZ_BASE)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--config", str(config), "--out", str(root / "train")]) == 0
+        assert main(["eval", "--checkpoint", str(root / "train" / "checkpoint.adds"),
+                     "--n-eval", "4", "--out", str(root / "eval")]) == 0
+    ckpt = load_checkpoint(root / "train" / "checkpoint.adds")
+    names = training.restore_model(ckpt)[1].class_names
+    return {"config": config, "checkpoint": root / "train" / "checkpoint.adds",
+            "train_manifest": root / "train" / "run_manifest.json",
+            "eval_manifest": root / "eval" / "run_manifest.json",
+            "missing": root / "missing", "names": names, "vocab": ",".join(names[:3])}
+
+
 class TestConfigFile:
     def test_parses_values_and_comments(self, config_file):
         cfg = read_config_file(config_file)
@@ -104,6 +124,13 @@ class TestPlan:
                            "--target-size", "64", "--levels", "5")
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("levels", [",", " , ", ""])
+    def test_empty_level_list_is_every_level(self, capsys, levels):
+        # the config file's reading of pyramid_levels
+        assert (run(capsys, "plan", "--base-size", "32", "--target-size", "128",
+                    "--levels", levels)
+                == run(capsys, "plan", "--base-size", "32", "--target-size", "128"))
 
 
 class TestTrainEval:
@@ -223,20 +250,6 @@ class TestTrainEval:
         assert code == 1
         assert err.startswith("error:")
         assert not (tmp_path / "out").exists()
-
-    def test_eval_missing_file_exit_1(self, capsys, tmp_path):
-        code, _, err = run(capsys, "eval", "--checkpoint",
-                           str(tmp_path / "none.adds"), "--out", str(tmp_path))
-        assert code == 1
-        assert "error" in err
-
-    @pytest.mark.parametrize("command, flag", [("train", "--config"),
-                                               ("eval", "--checkpoint")])
-    def test_directory_argument_exit_1(self, capsys, tmp_path, command, flag):
-        code, _, err = run(capsys, command, flag, str(tmp_path), "--out", str(tmp_path))
-        assert code == 1
-        assert err.startswith("error:")
-        assert not (tmp_path / "run_manifest.json").exists()
 
     @pytest.mark.parametrize("line", ["batch_size = 0", "n_train = 0", "n_seen = 8",
                                       "kind = mystery", "heads = 3", "heads = 0",
@@ -397,12 +410,74 @@ class TestTrainEval:
             raise OSError("disk full")
 
         monkeypatch.setattr(json, "dump", dump_half)
-        with pytest.raises(OSError, match="disk full"):
-            main(["train", "--config", str(config_file), "--out", str(tmp_path)])
+        code, _, err = run(capsys, "train", "--config", str(config_file),
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert err == "error: disk full\n"
         # checkpoint and loss log are rewritten with the same bytes; the
         # manifest write fails part way and leaves the old one in place
         assert sorted(p.name for p in tmp_path.iterdir()) == names
         assert {n: (tmp_path / n).read_bytes() for n in names} == before
+
+    def test_checkpoint_write_onto_directory_exit_1(self, capsys, tmp_path, config_file):
+        (tmp_path / "checkpoint.adds").mkdir()
+        code, _, err = run(capsys, "train", "--config", str(config_file),
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error:") and "checkpoint.adds" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["checkpoint.adds", "tiny.cfg"]
+
+    @pytest.mark.parametrize("key, value", [("ks", ["x"]), ("ks", 3), ("ks", []),
+                                            ("ks", [True]), ("n_eval", "4"),
+                                            ("n_eval", 4.5), ("n_eval", True),
+                                            ("checkpoint", 0), ("vocab", "a,b"),
+                                            ("vocab", [1]), ("eval_seed", 1.0)])
+    def test_bad_eval_manifest_setting_exit_1(self, capsys, tmp_path, tiny_run, key,
+                                              value):
+        manifest = json.loads(tiny_run["eval_manifest"].read_text())
+        manifest["config"][key] = value
+        path = tmp_path / "bad_manifest.json"
+        path.write_text(json.dumps(manifest))
+        code, _, err = run(capsys, "eval", "--manifest", str(path),
+                           "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert err.startswith(f"error: manifest {path}: {key} must be ")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--epochs", "3"), ("train", "--config", "{config}"),
+        ("eval", "--checkpoint", "{checkpoint}"), ("eval", "--k", "1"),
+        ("eval", "--vocab", "x"), ("eval", "--n-eval", "4"), ("eval", "--eval-seed", "1")])
+    def test_option_beside_manifest_exit_2(self, capsys, tmp_path, tiny_run, command,
+                                           flag, value):
+        manifest = tiny_run[f"{command}_manifest"]
+        code, _, err = run(capsys, command, "--manifest", str(manifest), flag,
+                           value.format(**tiny_run), "--out", str(tmp_path / "rerun"))
+        assert code == 2
+        assert err.startswith(f"error: {flag} cannot be combined with --manifest")
+        assert not (tmp_path / "rerun").exists()
+
+    @pytest.mark.parametrize("command, flag", [("train", "--config"),
+                                               ("train", "--manifest"),
+                                               ("eval", "--checkpoint"),
+                                               ("eval", "--manifest"),
+                                               ("eval", "--vocab")])
+    @pytest.mark.parametrize("kind", ["missing", "directory", "not_utf8"])
+    def test_bad_path_exit_1(self, capsys, tmp_path, tiny_run, command, flag, kind):
+        path = tmp_path / "input"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b"classes = 8\n\xff\xfe\n")
+        argv = [command, flag, str(path), "--out", str(tmp_path / "out")]
+        if flag == "--vocab":
+            argv += ["--checkpoint", str(tiny_run["checkpoint"]), "--n-eval", "4"]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        if kind == "not_utf8" and flag != "--checkpoint":
+            assert err.startswith(f"error: {path} is not UTF-8 text: ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_eval_k_below_one_exit_1(self, capsys, tmp_path, config_file, k):
@@ -500,7 +575,8 @@ class TestGradcheck:
 
 
 # Each option of a generated argv, with values across its bounds; a flag
-# takes None. Sizes stay small: a valid plan or check grows with them.
+# takes None, and "{name}" is the tiny_run path or vocabulary of that name.
+# Sizes stay small: a valid plan, check, run or evaluation grows with them.
 _ARGV_OPTIONS = {
     "plan": {"--base-size": ["-1", "0", "1", "3", "32", "100", "x", "2.5"],
              "--target-size": ["-1", "0", "1", "32", "64", "100", "nan", ""],
@@ -510,7 +586,26 @@ _ARGV_OPTIONS = {
                   "--eps": ["0", "-1", "1e-300", "1e-5", "1", "1e200", "1e308", "inf",
                             "nan", "-inf", "x"],
                   "--self-test": [None], "--corrupt-gradient": [None]},
+    "train": {"--config": ["{config}"], "--manifest": ["{train_manifest}", "{missing}"],
+              "--seed": ["-1", "0", "3", str(2**63), "x"],
+              "--lr": ["-1", "0", "1e-3", "1", "1e308", "nan", "inf", "x"],
+              "--epochs": ["-1", "0", "1", "2", "1.5"], "--depth": ["-1", "0", "1", "2"],
+              "--kind": ["baseline", "dual_modal", "mystery"],
+              "--batch-size": ["-1", "0", "1", "4", "64"],
+              "--n-train": ["-1", "0", "1", "4", "8"],
+              "--alpha": ["-1", "0", "0.5", "3", "nan", "inf"],
+              "--dropout": ["-0.1", "0", "0.5", "1", "nan"],
+              "--weight-decay": ["-1", "0", "1e-4", "inf", "nan"]},
+    "eval": {"--checkpoint": ["{checkpoint}", "{config}", "{missing}"],
+             "--manifest": ["{eval_manifest}", "{train_manifest}"],
+             "--k": ["-1", "0", "1", "3", "100", "x"],
+             "--vocab": ["{vocab}", ",", "nope", "{config}"],
+             "--n-eval": ["-1", "0", "1", "4", "x"], "--eval-seed": ["-1", "0", "1234", "x"],
+             "--format": ["text", "record", "json"]},
 }
+# always given: a check at the default of 8 dims takes about a second, a run
+# without --config trains the default world, and eval needs a checkpoint
+_ALWAYS = {"--dims", "--config", "--checkpoint"}
 
 
 @st.composite
@@ -518,24 +613,64 @@ def _argv(draw):
     command = draw(st.sampled_from(sorted(_ARGV_OPTIONS)))
     argv = [command]
     for flag, values in _ARGV_OPTIONS[command].items():
-        # --dims always: a check at the default of 8 takes about a second
-        if flag == "--dims" or draw(st.booleans()):
+        if flag in _ALWAYS or draw(st.booleans()):
             argv += [flag, draw(st.sampled_from(values))]
     return [arg for arg in argv if arg is not None]
 
 
 @pytest.mark.filterwarnings("error")
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @example(argv=["gradcheck", "--dims", "4", "--depth", "1", "--eps", "inf"])
 @example(argv=["gradcheck", "--self-test", "--eps", "1e200"])
+@example(argv=["train", "--config", "{config}", "--lr", "1e308"])
+@example(argv=["eval", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+               "--n-eval", "4"])
 @given(argv=_argv())
-def test_generated_argv_exits_0_1_or_2(argv):
+def test_generated_argv_exits_0_1_or_2(tiny_run, argv):
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # a usage error, from argparse
-            code = exc.code
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [arg.format(**tiny_run) for arg in argv]
+        if argv[0] in ("train", "eval"):
+            argv += ["--out", tmp]
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # a usage error, from argparse
+                code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
     assert (code == 1) <= err.getvalue().startswith("error:")
+
+
+# Each example sets one setting of a valid eval manifest; "{name}" is the
+# tiny_run path or class list of that name.
+_MANIFEST_VALUES = st.sampled_from([
+    None, True, False, -2**63, -1, 0, 1, 3, 8, 2**63, 4.5, float("nan"), float("inf"), "",
+    "4", "x", "{checkpoint}", "{config}", "{missing}", [], [0], [1], [3, 5], [2**63],
+    [True], ["x"], [1.5], "{names}", {"ks": [3]},
+])
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example(key="checkpoint", value=0)
+@given(key=st.sampled_from(["checkpoint", "ks", "vocab", "n_eval", "eval_seed"]),
+       value=_MANIFEST_VALUES)
+def test_generated_eval_manifest_setting_exits_0_or_1(tiny_run, key, value):
+    # a huge eval set is a long evaluation, not a bad input
+    assume(not (key == "n_eval" and type(value) is int and value > 8))
+    if value == "{names}":
+        value = tiny_run["names"][:3]
+    elif isinstance(value, str):
+        value = value.format(**tiny_run)
+    manifest = json.loads(tiny_run["eval_manifest"].read_text())
+    manifest["config"][key] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["eval", "--manifest", str(path), "--out", tmp])
+        assert code in (0, 1)
+        assert (code == 1) == err.getvalue().startswith("error:")
+        assert (code == 0) == (Path(tmp) / "metrics.jsonl").exists()
