@@ -112,8 +112,17 @@ def _canonical_json(raw: bytes, what: str):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint file. Each ``FormatError`` names the file first."""
     with open(path, "rb") as fh:
-        r = _Reader(fh.read())
+        data = fh.read()
+    try:
+        return _parse_checkpoint(data)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(data: bytes) -> Checkpoint:
+    r = _Reader(data)
     if r.take(8, "magic") != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic, expected {CHECKPOINT_MAGIC!r}")
     version = r.u32("version")

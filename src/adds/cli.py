@@ -126,9 +126,14 @@ def _read_manifest(path, rules: dict) -> tuple[dict, str]:
 
 
 def _read_vocab(value: str) -> list[str]:
+    """Labels from a file with one per line, or from a comma-separated list.
+    Class names are letters only, so a value holding a path separator or a
+    dot that is not a file is a missing file, not a label."""
     path = Path(value)
     if path.is_file():
         return [line.strip() for line in _read_text(path).splitlines() if line.strip()]
+    if any(c in value for c in (os.sep, "/", ".")):
+        raise ConfigurationError(f"no such vocabulary file: {value}")
     return [x.strip() for x in value.split(",") if x.strip()]
 
 
@@ -137,10 +142,15 @@ def _read_vocab(value: str) -> list[str]:
 
 
 def cmd_plan(args) -> int:
+    try:
+        levels = _parse(list[int], args.levels or "")
+    except ValueError:
+        raise ConfigurationError("--levels must be comma-separated level indices, "
+                                 f"got {args.levels!r}") from None
     plan = build_plan(
         args.base_size,
         args.target_size,
-        selected_levels=_parse(list[int], args.levels or "") or None,
+        selected_levels=levels or None,
         cls_only_non_bottom=args.cls_only,
     )
     report = cost_report(plan)

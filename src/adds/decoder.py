@@ -35,6 +35,7 @@ class AttentionParams:
     wk: Tensor
     wv: Tensor
     wo: Tensor
+    spare: dict = field(default_factory=dict, repr=False, compare=False)  # see adds.tensor
 
     def tensors(self):
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
@@ -60,6 +61,7 @@ class FeedForwardParams:
 class LayerNormParams:
     gain: Tensor
     bias: Tensor
+    spare: dict = field(default_factory=dict, repr=False, compare=False)  # see adds.tensor
 
     def tensors(self):
         return [("gain", self.gain), ("bias", self.bias)]
@@ -209,19 +211,21 @@ def init_head(stream, e, dtype=np.float64) -> ClassifierHead:
 # forward
 
 
+def _norm(x: Tensor, p: LayerNormParams) -> Tensor:
+    return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS, p.spare)
+
+
 def _query_path(q, k, v, params, heads, noise):
     """The shared first half of both block kinds: pre-norm, cross-attention,
     feed-forward, each with residual add-and-norm. Returns the refined summary."""
     dp = params.dropout_rate
     ln = params.norms
     u_pre, u_ffn = (None, None) if noise is None else noise
-    q1 = layer_norm(add(q, dropout(q, dp, u_pre)),
-                    ln["q_pre"].gain, ln["q_pre"].bias, LAYER_NORM_EPS)
+    q1 = _norm(add(q, dropout(q, dp, u_pre)), ln["q_pre"])
     q2 = multi_head_attention(q1, k, v, params.attn_text, heads)
-    q3 = layer_norm(add(q2, q1), ln["q_attn"].gain, ln["q_attn"].bias, LAYER_NORM_EPS)
+    q3 = _norm(add(q2, q1), ln["q_attn"])
     q4 = dropout(feed_forward(q3, params.ffn), dp, u_ffn)
-    q5 = layer_norm(add(q4, q3), ln["q_ffn"].gain, ln["q_ffn"].bias, LAYER_NORM_EPS)
-    return q5
+    return _norm(add(q4, q3), ln["q_ffn"])
 
 
 def dm_block_forward(q, k, v, params, heads, noise=None, refresh_kv=True):
@@ -234,11 +238,11 @@ def dm_block_forward(q, k, v, params, heads, noise=None, refresh_kv=True):
     """
     ln = params.norms
     q5 = _query_path(q, k, v, params, heads, noise)
-    q_out = layer_norm(add(q5, q), ln["q_out"].gain, ln["q_out"].bias, LAYER_NORM_EPS)
+    q_out = _norm(add(q5, q), ln["q_out"])
     if not refresh_kv:
         return q_out, k, v
     v1 = multi_head_attention(v, q5, q5, params.attn_visual, heads)
-    v_out = layer_norm(add(v1, v), ln["v_out"].gain, ln["v_out"].bias, LAYER_NORM_EPS)
+    v_out = _norm(add(v1, v), ln["v_out"])
     return q_out, v_out, v_out
 
 

@@ -19,6 +19,16 @@ dtype.
 Afterwards only leaves hold ``.grad``, and nothing holds the activations the
 graph saved: a training step's memory is bounded by its own graph, even
 while the caller keeps the previous step's loss.
+
+Each attention and layer-norm site owns a ``spare`` dict. A site's backward
+closure ends by putting the large arrays it saved there: the q/k/v projections
+(overwritten with their gradients on the way), head outputs and softmax, or
+the normalized rows. The site's next forward that builds a graph writes into
+those of the right shape and dtype, so a training step reuses the previous
+step's memory instead of faulting it in again. Only the closure reads them,
+and it runs once. A role whose shape changes between steps, as the query
+count does under label selection, keeps no spare from then on: holding the
+stale ones would only fragment the heap. A graph-free forward takes none.
 """
 
 import numpy as np
@@ -84,6 +94,19 @@ def _image_sum(x: np.ndarray) -> np.ndarray:
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of ``a @ w`` w.r.t. the shared w: sum over images of a_b^T g_b."""
     return _image_sum(np.swapaxes(a, -1, -2) @ g)
+
+
+def _take(spare: dict, key: str, shape: tuple, dtype) -> np.ndarray:
+    """``spare[key]`` taken out of ``spare`` if it has ``shape`` and ``dtype``;
+    otherwise a new array. A spare of another shape or dtype is dropped first,
+    and its key is set to None: a role whose shape changes keeps no spare."""
+    buf = spare.get(key)
+    if buf is not None:
+        if buf.shape == shape and buf.dtype == dtype:
+            return spare.pop(key)
+        spare[key] = None
+    del buf
+    return np.empty(shape, dtype)
 
 
 def _column_sum(g: np.ndarray) -> np.ndarray:
@@ -171,18 +194,25 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(out_val, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then gain*x + bias."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
+               spare: dict | None = None) -> Tensor:
+    """Per-row normalization to zero mean / unit variance, then gain*x + bias.
+    ``spare``, if given, is the site's buffer dict (module docstring)."""
     cols = x.value.shape[-1]
     if gain.value.shape != (1, cols) or bias.value.shape != (1, cols):
         raise ShapeError(
             f"layer_norm: x {x.value.shape}, gain {gain.value.shape}, bias {bias.value.shape}"
         )
-    centered = x.value - np.add.reduce(x.value, axis=-1, keepdims=True) / cols
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) / cols
+    if not _needs_grad((x, gain, bias)):
+        spare = None
+    # the centered rows, normalized in place once their variance is known
+    y0 = np.subtract(x.value, np.add.reduce(x.value, axis=-1, keepdims=True) / cols,
+                     out=None if spare is None else _take(spare, "y0", x.shape, x.value.dtype))
+    var = np.add.reduce(y0 * y0, axis=-1, keepdims=True) / cols
     inv_std = 1.0 / np.sqrt(var + x.value.dtype.type(eps))
-    y0 = centered * inv_std
-    out_val = y0 * gain.value + bias.value
+    y0 *= inv_std
+    out_val = y0 * gain.value
+    out_val += bias.value
 
     def backward(g):
         gain.grad += _column_sum(g * y0)
@@ -190,7 +220,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dy0 = g * gain.value
         m1 = np.add.reduce(dy0, axis=-1, keepdims=True) / cols
         m2 = np.add.reduce(dy0 * y0, axis=-1, keepdims=True) / cols
-        x.grad += (dy0 - m1 - y0 * m2) * inv_std
+        # (dy0 - m1 - y0 * m2) * inv_std in place; y0 is read no more
+        dy0 -= m1
+        dy0 -= np.multiply(y0, m2, out=y0)
+        dy0 *= inv_std
+        x.grad += dy0
+        if spare is not None:
+            spare.setdefault("y0", y0)
 
     return _node(out_val, (x, gain, bias), backward)
 
@@ -230,16 +266,18 @@ def mean_all(x: Tensor) -> Tensor:
 # composites
 
 
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Max-shifted softmax over the last axis of a plain array."""
+def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Max-shifted softmax over the last axis of a plain array, written to
+    ``out`` (which may be ``x`` itself) or to a new array."""
     # A max is exact in any order, so rows shorter than the axis before them
     # take it from a transposed copy, in one pass along the long axis.
     if x.ndim > 1 and x.shape[-1] < x.shape[-2]:
-        ex = x - np.ascontiguousarray(np.swapaxes(x, -1, -2)).max(axis=-2)[..., None]
+        top = np.ascontiguousarray(np.swapaxes(x, -1, -2)).max(axis=-2)[..., None]
     else:
-        ex = x - x.max(axis=-1, keepdims=True)
+        top = x.max(axis=-1, keepdims=True)
     # in place: one batch of a large vocabulary's scores outgrows the cache,
     # and each temporary of that size costs more than the arithmetic
+    ex = np.subtract(x, top, out=out)
     np.exp(ex, out=ex)
     ex /= ex.sum(axis=-1, keepdims=True)
     return ex
@@ -262,8 +300,9 @@ def batch_chunks(n: int, item_bytes: int) -> list:
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) -> Tensor:
     """Scaled dot-product attention over all heads as one graph node.
 
-    ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0,
-    k and v of the same rows, and q, k, v of the same image count.
+    ``params`` carries e x e projections wq, wk, wv, wo and the site's
+    ``spare``. Requires e % heads == 0, k and v of the same rows, and q, k, v
+    of the same image count.
     Each image's projections are viewed as (heads, rows, e / heads) stacks;
     backward keeps the projections and the softmax, nothing per head. The
     scores of a stack are computed as many images at a time as fit CHUNK_BYTES;
@@ -284,49 +323,54 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     def split(x):  # (..., rows, e) -> (..., heads, rows, dh)
         return np.swapaxes(x.reshape(*x.shape[:-1], heads, dh), -2, -3)
 
-    def merge(x):  # (..., heads, rows, dh) -> (..., rows, e)
-        x = np.swapaxes(x, -2, -3)
-        return x.reshape(*x.shape[:-2], e)
-
     inputs = (q, k, v)
     weights = (params.wq, params.wk, params.wv)
     parents = (*inputs, *weights, params.wo)
-    qh, kh, vh = (split(x.value @ w.value) for x, w in zip(inputs, weights))
+    grad = _needs_grad(parents)
+    spare = params.spare if grad else {}
+    proj = [np.matmul(x.value, w.value, out=_take(
+                spare, key, (*x.value.shape[:-1], e), np.result_type(x.value, w.value)))
+            for key, x, w in zip("qkv", inputs, weights)]
+    qh, kh, vh = (split(p) for p in proj)
     s = qh.dtype.type(1.0 / np.sqrt(dh))
     chunks = [slice(None)] if qh.ndim < 4 else batch_chunks(
         qh.shape[0], qh.shape[-3] * qh.shape[-2] * kh.shape[-2] * qh.itemsize)
-    heads_out = np.empty(qh.shape, qh.dtype)
-    probs = np.empty((*qh.shape[:-1], kh.shape[-2]), qh.dtype) if _needs_grad(parents) else None
+    # the heads write their outputs straight into the merged (..., rows, e) layout
+    attended = _take(spare, "attended", proj[0].shape, qh.dtype)
+    heads_out = split(attended)
+    probs = _take(spare, "probs", (*qh.shape[:-1], kh.shape[-2]), qh.dtype) if grad else None
     for c in chunks:
         # scaling the scores, not q, keeps the rounding of the unfused op order
-        scores = qh[c] @ np.swapaxes(kh[c], -1, -2)
+        scores = np.matmul(qh[c], np.swapaxes(kh[c], -1, -2),
+                           out=None if probs is None else probs[c])
         scores *= s
-        p = softmax(scores)
-        heads_out[c] = p @ vh[c]
-        if probs is not None:
-            probs[c] = p
-    attended = merge(heads_out)
+        heads_out[c] = softmax(scores, out=scores) @ vh[c]
 
     def backward(g):
-        g_att = split(g @ params.wo.value.T)
         params.wo.grad += _weight_grad(attended, g)
-        g_qh = np.empty(qh.shape, qh.dtype)
-        g_kh_t = np.empty((*kh.shape[:-2], dh, kh.shape[-2]), kh.dtype)
-        g_vh = np.empty(vh.shape, vh.dtype)
+        g_att = split(np.matmul(g, params.wo.value.T, out=attended))
+        # a chunk's projections are read for the last time in its own pass,
+        # which overwrites them with their gradients
+        kh_t = np.swapaxes(kh, -1, -2)
         for c in chunks:
             p = probs[c]
-            g_probs = g_att[c] @ np.swapaxes(vh[c], -1, -2)
-            g_vh[c] = np.swapaxes(p, -1, -2) @ g_att[c]
-            g_scores = p * (g_probs - (g_probs * p).sum(axis=-1, keepdims=True)) * s
-            g_qh[c] = g_scores @ kh[c]
-            g_kh_t[c] = np.swapaxes(qh[c], -1, -2) @ g_scores
-        g_kh = np.swapaxes(g_kh_t, -1, -2)
+            # the probabilities' gradient g, turned in place into the scores':
+            # p * (g - rowsum(g * p)) * s
+            g_scores = g_att[c] @ np.swapaxes(vh[c], -1, -2)
+            vh[c] = np.swapaxes(p, -1, -2) @ g_att[c]
+            g_scores -= (g_scores * p).sum(axis=-1, keepdims=True)
+            g_scores *= p
+            g_scores *= s
+            g_qh = g_scores @ kh[c]
+            kh_t[c] = np.swapaxes(qh[c], -1, -2) @ g_scores
+            qh[c] = g_qh
         # q, k, v in this order: they may be one tensor, and the order of
         # accumulation fixes the rounding of its gradient
-        for x, w, gh in zip(inputs, weights, (g_qh, g_kh, g_vh)):
-            gp = merge(gh)
+        for x, w, gp in zip(inputs, weights, proj):
             x.grad += gp @ w.value.T
             w.grad += _weight_grad(x.value, gp)
+        for key, buf in zip(("q", "k", "v", "attended", "probs"), (*proj, attended, probs)):
+            spare.setdefault(key, buf)  # unless the role is marked None
 
     return _node(attended @ params.wo.value, parents, backward)
 
@@ -350,7 +394,8 @@ def backward(root: Tensor) -> None:
     drops its gradient, its backward closure and its parents, so the
     activations its closure saved are freed as the pass goes and the root is
     left a leaf. Only leaves keep ``.grad``: a parameter its accumulated
-    gradient, a non-trainable leaf zeros.
+    gradient, a non-trainable leaf zeros. An attention or layer-norm closure
+    ends by handing its saved arrays to its site's ``spare`` (module docstring).
     """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward expects a scalar (1,1) root, got {root.value.shape}")

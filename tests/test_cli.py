@@ -125,6 +125,14 @@ class TestPlan:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("levels", ["x", "0,x", "1.5", "0;1"])
+    def test_malformed_level_list_names_the_option_exit_1(self, capsys, levels):
+        code, _, err = run(capsys, "plan", "--base-size", "32", "--target-size", "64",
+                           "--levels", levels)
+        assert code == 1
+        assert err == (f"error: --levels must be comma-separated level indices, "
+                       f"got {levels!r}\n")
+
     @pytest.mark.parametrize("levels", [",", " , ", ""])
     def test_empty_level_list_is_every_level(self, capsys, levels):
         # the config file's reading of pyramid_levels
@@ -478,6 +486,35 @@ class TestTrainEval:
         if kind == "not_utf8" and flag != "--checkpoint":
             assert err.startswith(f"error: {path} is not UTF-8 text: ")
         assert not (tmp_path / "out").exists()
+
+    def test_non_checkpoint_error_names_the_file(self, capsys, tmp_path, tiny_run):
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tiny_run["config"]),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err == (f"error: {tiny_run['config']}: bad checkpoint magic, "
+                       "expected b'ADDSCKP1'\n")
+
+    @pytest.mark.parametrize("value", ["./vocab.txt", "vocab.txt", "lists/vocab", "a.b"])
+    def test_missing_vocab_file_exit_1(self, capsys, tmp_path, tiny_run, monkeypatch,
+                                       value):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tiny_run["checkpoint"]),
+                           "--n-eval", "4", "--vocab", value, "--out", "out")
+        assert code == 1
+        assert err == f"error: no such vocabulary file: {value}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_vocab_file_and_label_list_agree(self, capsys, tmp_path, tiny_run):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("\n".join(tiny_run["names"][:3]) + "\n")
+        outs = []
+        for value in (str(vocab), tiny_run["vocab"]):
+            code, out, _ = run(capsys, "eval", "--checkpoint", str(tiny_run["checkpoint"]),
+                               "--n-eval", "4", "--vocab", value, "--format", "record",
+                               "--out", str(tmp_path / "out"))
+            assert code == 0
+            outs.append({k: v for k, v in json.loads(out).items() if k != "timestamp"})
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_eval_k_below_one_exit_1(self, capsys, tmp_path, config_file, k):

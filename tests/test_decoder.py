@@ -15,6 +15,7 @@ from adds.errors import ConfigurationError, ShapeError
 from adds.rng import SeedStreams
 from adds.supervision import AslConfig, asl_loss_node, select_labels
 from adds.tensor import Tensor, add, backward, scale
+from adds.training import TrainConfig, restore_model, train
 
 
 def make_stack(seed=0, **kw):
@@ -278,6 +279,103 @@ class TestBatchAxis:
         stack_forward(Tensor(np.broadcast_to(q0, (2, 3, 4))), Tensor(np.stack([kv, kv])),
                       stack, training=True, stream=stream)
         np.testing.assert_equal(stream.bit_generator.state, before)
+
+
+class TestSiteSpares:
+    """Each attention and layer-norm site writes its next forward's arrays into
+    those its last backward gave back. No result may depend on that."""
+
+    def _model(self):
+        stack = init_stack(SeedStreams(31).stream("init"), depth=2, embed_dim=8, heads=2,
+                           dropout_rate=0.0)
+        return stack, init_head(SeedStreams(32).stream("head"), 8)
+
+    def _inputs(self, seed, queries):
+        g = SeedStreams(seed).stream("data")
+        y = (g.random((3, queries)) < 0.4).astype(int)
+        return g.standard_normal((3, queries, 8)), g.standard_normal((3, 7, 8)), y
+
+    def _loss(self, model, inputs):
+        q0, kv, y = inputs
+        q = stack_forward(Tensor(q0), Tensor(kv), model[0])
+        return asl_loss_node(classify(q, model[1]), y, AslConfig())
+
+    def _step(self, model, inputs):
+        loss = self._loss(model, inputs)
+        backward(loss)
+        return loss.value, self._grads(model)
+
+    @staticmethod
+    def _grads(model):
+        return [t.grad.copy() for _, t in model[0].tensors() + model[1].tensors()]
+
+    @staticmethod
+    def _spares(stack):
+        """The spare dicts of every site the forward runs."""
+        out = []
+        for i, blk in enumerate(stack.blocks):
+            visual = stack.runs_visual_branch(i)
+            out += [blk.attn_text.spare] + [blk.attn_visual.spare] * visual
+            out += [blk.norms[s].spare for s in NORM_SITES if visual or s != "v_out"]
+        return out
+
+    def _assert_fresh_model_agrees(self, inputs, loss, grads):
+        fresh_loss, fresh_grads = self._step(self._model(), inputs)
+        np.testing.assert_array_equal(loss, fresh_loss)
+        for g, f in zip(grads, fresh_grads):
+            np.testing.assert_array_equal(g, f)
+
+    def test_a_step_reuses_the_arrays_the_last_backward_gave_back(self):
+        model = self._model()
+        spares = self._spares(model[0])
+        self._step(model, self._inputs(40, 5))
+        held = [dict(s) for s in spares]
+        assert all(held) and all(a is not None for h in held for a in h.values())
+        loss = self._loss(model, self._inputs(41, 5))
+        assert not any(spares)  # the forward took every one
+        backward(loss)
+        for s, h in zip(spares, held):
+            assert s.keys() == h.keys() and all(s[k] is h[k] for k in s)
+
+    def test_interleaved_graphs_match_a_fresh_model(self):
+        # D, built while C still holds what A gave back, must not share C's arrays
+        model = self._model()
+        inputs = {n: self._inputs(50 + i, 5) for i, n in enumerate("ABCD")}
+        losses, grads = {}, {}
+
+        def forward(n):
+            losses[n] = self._loss(model, inputs[n])
+
+        def back(n):
+            backward(losses[n])
+            grads[n] = self._grads(model)
+
+        for act, n in [(forward, "A"), (forward, "B"), (back, "A"), (forward, "C"),
+                       (forward, "D"), (back, "B"), (back, "D"), (back, "C")]:
+            act(n)
+        for n in "ABCD":
+            self._assert_fresh_model_agrees(inputs[n], losses[n].value, grads[n])
+
+    def test_changing_query_counts_are_bit_identical(self):
+        # as label selection gives a new |S'| at each step
+        model = self._model()
+        spare = model[0].blocks[0].attn_text.spare
+        for step, queries in enumerate([5, 3, 5, 6, 6, 2]):
+            inputs = self._inputs(60 + step, queries)
+            loss, grads = self._step(model, inputs)
+            self._assert_fresh_model_agrees(inputs, loss, grads)
+            # the query-shaped roles keep nothing once their shape has changed;
+            # the key/value projections, over the same rows every step, are kept
+            assert (spare["probs"] is None) == (step > 0)
+            assert spare["k"].shape == spare["v"].shape == (3, 7, 8)
+
+    def test_restored_model_forward_leaves_every_spare_empty(self):
+        config = TrainConfig(classes=8, n_seen=6, image_side=32, base_size=32,
+                             embed_dim=8, depth=2, ffn_hidden=8, n_train=8, epochs=1)
+        _, _, stack, head = restore_model(train(config))
+        q, kv = random_qkv(70, k=6, n=5, e=8)
+        classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
+        assert len(self._spares(stack)) == 7 + 5 and not any(self._spares(stack))
 
 
 class TestClassifierHead:

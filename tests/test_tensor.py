@@ -149,6 +149,36 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.value, expected, atol=1e-10)
 
 
+    def test_spare_of_the_same_shape_is_reused(self):
+        x = param(rng(6).standard_normal((3, 4)))
+        gain, bias = self._unit_affine(4)
+        buf = np.zeros((3, 4))
+        spare = {"y0": buf}
+        out = layer_norm(x, gain, bias, spare=spare)
+        assert spare == {}
+        np.testing.assert_array_equal(out.value, layer_norm(x, gain, bias).value)
+        backward(mean_all(mul(out, out)))
+        assert spare["y0"] is buf
+
+    @pytest.mark.parametrize("stale", [np.zeros((2, 4)), np.zeros((3, 4), np.float32)])
+    def test_spare_of_another_shape_or_dtype_ends_the_role(self, stale):
+        x = param(rng(6).standard_normal((3, 4)))
+        gain, bias = self._unit_affine(4)
+        spare = {"y0": stale}
+        out = layer_norm(x, gain, bias, spare=spare)
+        assert spare == {"y0": None}
+        np.testing.assert_array_equal(out.value, layer_norm(x, gain, bias).value)
+        backward(mean_all(mul(out, out)))
+        assert spare == {"y0": None}
+
+    def test_no_graph_takes_or_leaves_a_spare(self):
+        gain, bias = self._unit_affine(4)
+        buf = np.zeros((3, 4))
+        spare = {"y0": buf}
+        layer_norm(Tensor(rng(6).standard_normal((3, 4))), gain, bias, spare=spare)
+        assert spare["y0"] is buf and not buf.any()
+
+
 def identity_attention(e):
     eye = np.eye(e)
     return AttentionParams(*(Tensor(eye.copy()) for _ in range(4)))
