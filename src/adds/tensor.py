@@ -24,11 +24,13 @@ Each attention and layer-norm site owns a ``spare`` dict. A site's backward
 closure ends by putting the large arrays it saved there: the q/k/v projections
 (overwritten with their gradients on the way), head outputs and softmax, or
 the normalized rows. The site's next forward that builds a graph writes into
-those of the right shape and dtype, so a training step reuses the previous
-step's memory instead of faulting it in again. Only the closure reads them,
-and it runs once. A role whose shape changes between steps, as the query
-count does under label selection, keeps no spare from then on: holding the
-stale ones would only fragment the heap. A graph-free forward takes none.
+those of the right shape and dtype, so a training step shaped like the last
+one reuses its memory instead of faulting it in again. Only the closure reads
+them, and it runs once. A stack whose image count alone changes, as at an
+epoch's short last batch and the full batch after it, replaces the spare. A
+role whose other axes change between steps, as the query count does under
+label selection, keeps no spare from then on: holding the stale ones would
+only fragment the heap. A graph-free forward takes none.
 """
 
 import numpy as np
@@ -98,13 +100,18 @@ def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 def _take(spare: dict, key: str, shape: tuple, dtype) -> np.ndarray:
     """``spare[key]`` taken out of ``spare`` if it has ``shape`` and ``dtype``;
-    otherwise a new array. A spare of another shape or dtype is dropped first,
-    and its key is set to None: a role whose shape changes keeps no spare."""
+    otherwise a new array, and the spare is dropped first. If the two differ
+    only in a stack's image count (axis 0), the new array takes the spare's
+    place at backward; otherwise the key is set to None and the role keeps no
+    spare from then on."""
     buf = spare.get(key)
     if buf is not None:
         if buf.shape == shape and buf.dtype == dtype:
             return spare.pop(key)
-        spare[key] = None
+        if len(shape) > 2 and (buf.shape[1:], buf.dtype) == (shape[1:], dtype):
+            del spare[key]
+        else:
+            spare[key] = None
     del buf
     return np.empty(shape, dtype)
 

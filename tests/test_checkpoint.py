@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
@@ -20,6 +21,13 @@ from adds.training import TrainConfig, train
 
 TINY = dict(classes=8, n_seen=6, image_side=32, base_size=32, embed_dim=8,
             depth=1, ffn_hidden=16, epochs=2, n_train=16, lr=5e-3, seed=3)
+
+
+def load_error(path, what):
+    """A ``match`` pattern for ``load_checkpoint``'s error on ``path``: ``what``
+    must come after the path prefix, which can hold it too, since pytest names
+    each ``tmp_path`` after its test."""
+    return f"^{re.escape(str(path))}: .*{what}"
 
 
 @pytest.fixture(scope="module")
@@ -83,14 +91,14 @@ class TestCorruption:
         path, data = self._bytes(ckpt, tmp_path)
         data[:8] = b"WRONGMAG"
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=load_error(path, "magic")):
             load_checkpoint(path)
 
     def test_bad_version(self, ckpt, tmp_path):
         path, data = self._bytes(ckpt, tmp_path)
         data[8:12] = struct.pack("<I", 99)
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=load_error(path, "version")):
             load_checkpoint(path)
 
     def test_config_tamper_detected(self, ckpt, tmp_path):
@@ -98,19 +106,19 @@ class TestCorruption:
         # flip one byte inside the config JSON
         data[20] ^= 0x01
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="hash"):
+        with pytest.raises(FormatError, match=load_error(path, "hash")):
             load_checkpoint(path)
 
     def test_truncation(self, ckpt, tmp_path):
         path, data = self._bytes(ckpt, tmp_path)
         path.write_bytes(bytes(data[:-10]))
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match=load_error(path, "truncated")):
             load_checkpoint(path)
 
     def test_trailing_bytes(self, ckpt, tmp_path):
         path, data = self._bytes(ckpt, tmp_path)
         path.write_bytes(bytes(data) + b"\x00\x00")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match=load_error(path, "trailing")):
             load_checkpoint(path)
 
     def test_meta_json_error_is_format_error(self, ckpt, tmp_path):
@@ -118,7 +126,7 @@ class TestCorruption:
         meta_at = 12 + 4 + struct.unpack_from("<I", data, 12)[0] + 32 + 4
         data[meta_at] = ord("#")
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="meta"):
+        with pytest.raises(FormatError, match=load_error(path, "meta")):
             load_checkpoint(path)
 
     def test_non_utf8_blob_name_is_format_error(self, ckpt, tmp_path):
@@ -126,7 +134,7 @@ class TestCorruption:
         name = next(iter(ckpt.weights)).encode()
         data[data.index(name)] = 0xFF
         path.write_bytes(bytes(data))
-        with pytest.raises(FormatError, match="UTF-8"):
+        with pytest.raises(FormatError, match=load_error(path, "UTF-8")):
             load_checkpoint(path)
 
     @given(st.data())
@@ -192,5 +200,5 @@ class TestVersions:
         new_json = json.dumps(config, sort_keys=True).encode()
         path.write_bytes(data[:12] + struct.pack("<I", len(new_json)) + new_json
                          + hashlib.sha256(new_json).digest() + data[16 + old_len + 32:])
-        with pytest.raises(FormatError, match="dtype"):
+        with pytest.raises(FormatError, match=load_error(path, "dtype")):
             load_checkpoint(path)

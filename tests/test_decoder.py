@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from reference import ref_dm_block
 
+from adds import training
 from adds.decoder import (
     NORM_SITES,
     baseline_block_forward,
@@ -368,6 +369,29 @@ class TestSiteSpares:
             # the key/value projections, over the same rows every step, are kept
             assert (spare["probs"] is None) == (step > 0)
             assert spare["k"].shape == spare["v"].shape == (3, 7, 8)
+
+    def test_full_batches_reuse_after_a_short_last_batch(self, monkeypatch):
+        # 20 images in batches of 8: each epoch ends on a batch of 4
+        steps = []
+
+        def forward(q0, kv0, stack, **kw):
+            spares = self._spares(stack)
+            held = [{k: None if a is None else a.shape[0] for k, a in s.items()}
+                    for s in spares]
+            q = stack_forward(q0, kv0, stack, **kw)
+            steps.append((q0.shape[0], held, any(spares)))
+            return q
+
+        monkeypatch.setattr(training, "stack_forward", forward)
+        train(TrainConfig(classes=8, n_seen=6, image_side=32, base_size=32, embed_dim=8,
+                          depth=2, ffn_hidden=8, n_train=20, batch_size=8, epochs=2))
+        assert [images for images, _, _ in steps] == [8, 8, 4, 8, 8, 4]
+        roles = ({"q", "k", "v", "attended", "probs"}, {"y0"})
+        for (before, _, _), (_, held, left) in zip(steps, steps[1:]):
+            # every role holds the last step's array, and the forward takes it
+            # or, for a new image count, replaces it
+            assert all(h.keys() in roles and set(h.values()) == {before} for h in held)
+            assert not left
 
     def test_restored_model_forward_leaves_every_spare_empty(self):
         config = TrainConfig(classes=8, n_seen=6, image_side=32, base_size=32,

@@ -171,6 +171,18 @@ class TestLayerNorm:
         backward(mean_all(mul(out, out)))
         assert spare == {"y0": None}
 
+    def test_spare_of_another_image_count_is_replaced(self):
+        # an epoch's short last batch, then the next epoch's full one
+        gain, bias = self._unit_affine(4)
+        spare = {"y0": np.zeros((3, 2, 4))}
+        for images in (1, 3):
+            x = param(rng(6).standard_normal((images, 2, 4)))
+            out = layer_norm(x, gain, bias, spare=spare)
+            assert spare == {}
+            np.testing.assert_array_equal(out.value, layer_norm(x, gain, bias).value)
+            backward(mean_all(mul(out, out)))
+            assert spare["y0"].shape == (images, 2, 4)
+
     def test_no_graph_takes_or_leaves_a_spare(self):
         gain, bias = self._unit_affine(4)
         buf = np.zeros((3, 4))
