@@ -80,17 +80,13 @@ def _node(value, parents, backward) -> Tensor:
 
 
 def _image_sum(x: np.ndarray) -> np.ndarray:
-    """Sum per-image parameter gradients over the batch axis in image order.
-
-    Images are added strictly one after another, as a per-image graph adds
-    each image's contribution into the gradient; ``sum`` may pair them.
-    """
+    """Sum per-image parameter gradients over the batch axis in image order,
+    as a per-image graph adds each image's contribution into the gradient.
+    ``add.reduce`` adds the images in order unless they are all it loops over,
+    as for a one-element gradient, which takes the running sum instead."""
     if x.ndim == 2:
         return x
-    acc = x[0].copy()
-    for xb in x[1:]:
-        acc += xb
-    return acc
+    return np.add.accumulate(x)[-1] if x[0].size == 1 else np.add.reduce(x, axis=0)
 
 
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -118,7 +114,30 @@ def _take(spare: dict, key: str, shape: tuple, dtype) -> np.ndarray:
 
 def _column_sum(g: np.ndarray) -> np.ndarray:
     """Gradient of a row vector added to every row: each image's column sums, in order."""
-    return _image_sum(g.sum(axis=-2, keepdims=True))
+    # einsum rounds as sum, in a quarter of its time, except down a lone column
+    cols = g.sum(axis=-2) if g.shape[-1] == 1 else np.einsum("...ij->...j", g)
+    return _image_sum(cols[..., None, :])
+
+
+def _pairwise_sum(x: np.ndarray, axis: int = -2) -> np.ndarray:
+    """Sums along ``axis`` (-1 or -2), kept as an axis; along -2 in the order
+    ``add.reduce`` takes along a contiguous last axis (numpy's pairwise sum),
+    so the bits agree, bar which of two unlike NaNs survives."""
+    if axis == -1:
+        return np.add.reduce(x, axis=-1, keepdims=True)
+    n = x.shape[-2]
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(x[..., :half, :]) + _pairwise_sum(x[..., half:, :])
+    acc, tree = np.zeros_like(x[..., :1, :]), 0 if n < 8 else n - n % 8
+    if tree:  # 8 accumulators, then paired
+        r = sum((x[..., i:i + 8, :] for i in range(8, tree, 8)), x[..., :8, :])
+        while r.shape[-2] > 1:  # adjacent pairs: 8 -> 4 -> 2 -> 1
+            r = r[..., 0::2, :] + r[..., 1::2, :]
+        acc += r
+    for i in range(tree, n):
+        acc += x[..., i:i + 1, :]
+    return acc
 
 
 # ---------------------------------------------------------------------------
@@ -273,20 +292,20 @@ def mean_all(x: Tensor) -> Tensor:
 # composites
 
 
-def softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Max-shifted softmax over the last axis of a plain array, written to
-    ``out`` (which may be ``x`` itself) or to a new array."""
-    # A max is exact in any order, so rows shorter than the axis before them
-    # take it from a transposed copy, in one pass along the long axis.
-    if x.ndim > 1 and x.shape[-1] < x.shape[-2]:
+def softmax(x: np.ndarray, out: np.ndarray | None = None, axis: int = -1) -> np.ndarray:
+    """Max-shifted softmax of a plain array along ``axis`` (-1 or -2), written
+    to ``out`` (which may be ``x`` itself) or to a new array."""
+    if axis == -1 and x.ndim > 1 and x.shape[-1] < x.shape[-2]:
+        # short rows (a query-major site with 32 keys or more): a max is exact
+        # in any order, so take it in one pass along the long axis of a copy
         top = np.ascontiguousarray(np.swapaxes(x, -1, -2)).max(axis=-2)[..., None]
     else:
-        top = x.max(axis=-1, keepdims=True)
+        top = x.max(axis=axis, keepdims=True)
     # in place: one batch of a large vocabulary's scores outgrows the cache,
     # and each temporary of that size costs more than the arithmetic
     ex = np.subtract(x, top, out=out)
     np.exp(ex, out=ex)
-    ex /= ex.sum(axis=-1, keepdims=True)
+    ex /= _pairwise_sum(ex, axis)
     return ex
 
 
@@ -314,6 +333,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     backward keeps the projections and the softmax, nothing per head. The
     scores of a stack are computed as many images at a time as fit CHUNK_BYTES;
     an image's scores depend on that image alone, so chunking changes no result.
+    Scores and the kept softmax (``probs`` spare) are (..., keys, queries) when
+    there are fewer keys than queries and than 32, as in the visual branch:
+    the softmax and its backward then run along the long axis, not ~25 ns per
+    short row. Both layouts give the same bits (sgemm rounds a sum over
+    transposed softmax alike below 32 keys).
     """
     e = q.value.shape[-1]
     if e % heads != 0:
@@ -339,19 +363,31 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
                 spare, key, (*x.value.shape[:-1], e), np.result_type(x.value, w.value)))
             for key, x, w in zip("qkv", inputs, weights)]
     qh, kh, vh = (split(p) for p in proj)
+    n_q, n_k = qh.shape[-2], kh.shape[-2]
+    key_major = n_k < min(n_q, 32)
+    axis = -2 if key_major else -1  # the softmax axis
+
+    def lay(rows_q, rows_k, out=None):  # the scores-shaped product of q- and k-side rows
+        if key_major:  # dgemm rounds a transposed view of many query rows unlike this
+            return np.matmul(rows_k, np.ascontiguousarray(np.swapaxes(rows_q, -1, -2)), out=out)
+        return np.matmul(rows_q, np.swapaxes(rows_k, -1, -2), out=out)
+
+    def by_query(x):  # a scores-shaped array viewed as (..., queries, keys)
+        return np.swapaxes(x, -1, -2) if key_major else x
+
     s = qh.dtype.type(1.0 / np.sqrt(dh))
     chunks = [slice(None)] if qh.ndim < 4 else batch_chunks(
-        qh.shape[0], qh.shape[-3] * qh.shape[-2] * kh.shape[-2] * qh.itemsize)
+        qh.shape[0], qh.shape[-3] * n_q * n_k * qh.itemsize)
     # the heads write their outputs straight into the merged (..., rows, e) layout
     attended = _take(spare, "attended", proj[0].shape, qh.dtype)
     heads_out = split(attended)
-    probs = _take(spare, "probs", (*qh.shape[:-1], kh.shape[-2]), qh.dtype) if grad else None
+    rows = (n_k, n_q) if key_major else (n_q, n_k)
+    probs = _take(spare, "probs", (*qh.shape[:-2], *rows), qh.dtype) if grad else None
     for c in chunks:
         # scaling the scores, not q, keeps the rounding of the unfused op order
-        scores = np.matmul(qh[c], np.swapaxes(kh[c], -1, -2),
-                           out=None if probs is None else probs[c])
+        scores = lay(qh[c], kh[c], out=None if probs is None else probs[c])
         scores *= s
-        heads_out[c] = softmax(scores, out=scores) @ vh[c]
+        np.matmul(by_query(softmax(scores, out=scores, axis=axis)), vh[c], out=heads_out[c])
 
     def backward(g):
         params.wo.grad += _weight_grad(attended, g)
@@ -363,14 +399,15 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
             p = probs[c]
             # the probabilities' gradient g, turned in place into the scores':
             # p * (g - rowsum(g * p)) * s
-            g_scores = g_att[c] @ np.swapaxes(vh[c], -1, -2)
-            vh[c] = np.swapaxes(p, -1, -2) @ g_att[c]
-            g_scores -= (g_scores * p).sum(axis=-1, keepdims=True)
+            g_scores = lay(g_att[c], vh[c])
+            # (g_att^T p)^T: key-major, P @ g_att would round the sum over queries anew
+            vh[c] = np.swapaxes(np.swapaxes(g_att[c], -1, -2) @ by_query(p), -1, -2)
+            g_scores -= _pairwise_sum(g_scores * p, axis)
             g_scores *= p
             g_scores *= s
-            g_qh = g_scores @ kh[c]
-            kh_t[c] = np.swapaxes(qh[c], -1, -2) @ g_scores
-            qh[c] = g_qh
+            g_kh = np.swapaxes(qh[c], -1, -2) @ by_query(g_scores)
+            np.matmul(by_query(g_scores), kh[c], out=qh[c])
+            kh_t[c] = g_kh
         # q, k, v in this order: they may be one tensor, and the order of
         # accumulation fixes the rounding of its gradient
         for x, w, gp in zip(inputs, weights, proj):

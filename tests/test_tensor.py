@@ -1,3 +1,4 @@
+import hashlib
 import weakref
 
 import numpy as np
@@ -107,6 +108,43 @@ class TestSoftmaxRows:
         expected = np.exp(x - x.max(axis=-1, keepdims=True))
         expected /= expected.sum(axis=-1, keepdims=True)
         np.testing.assert_array_equal(softmax(x), expected)
+
+    # the key-major layout: items summed along axis -2, fewer, equal or more
+    # of them than along the last axis, below and above numpy's 8 and 128
+    @pytest.mark.parametrize("shape", [(2, 2, 16, 1445), (3, 12, 85), (2, 7, 7), (1, 129, 3),
+                                       (2, 300, 40)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_axis_minus_two_equals_last_axis_bitwise(self, shape, dtype):
+        x = (rng(8).standard_normal(shape) * 30).astype(dtype)
+        along_rows = softmax(x, axis=-2)
+        along_cols = softmax(np.ascontiguousarray(np.swapaxes(x, -1, -2)))
+        assert np.ascontiguousarray(np.swapaxes(along_rows, -1, -2)).tobytes() == along_cols.tobytes()
+
+
+@st.composite
+def summed_columns(draw):
+    """(2, n, 6) stacks summed down axis -2: one column of -0.0, one with
+    infinities, one with NaNs, the rest finite over 8 decades."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 16, 127, 128, 129, 136, 255, 256, 257, 600]),
+                       st.integers(1, 600)))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = g.standard_normal((2, n, 6)) * 10.0 ** g.uniform(-4, 4, (2, n, 6))
+    x[:, :, 0] = -0.0
+    x[:, g.integers(n, size=2), 1] = [np.inf, -np.inf]
+    x[:, g.integers(n, size=draw(st.integers(1, 3))), 2] = np.nan
+    return x.astype(dtype)
+
+
+@given(summed_columns())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_pairwise_sum_adds_in_numpys_last_axis_order(x):
+    # numpy's own pairwise sum runs along a contiguous last axis, so a numpy
+    # release that changes its order fails here, and names the cause
+    with np.errstate(invalid="ignore"):
+        expect = np.add.reduce(np.ascontiguousarray(np.swapaxes(x, -1, -2)), axis=-1)
+        got = tensor._pairwise_sum(x)
+    assert got.shape == (2, 1, 6) and got.tobytes() == expect[:, None, :].tobytes()
 
 
 class TestLayerNorm:
@@ -273,12 +311,11 @@ class TestMultiHeadAttention:
         assert len(out._parents) == len(expected)
         assert all(a is b for a, b in zip(out._parents, expected))
 
-    @pytest.mark.parametrize("heads", [1, 2, 4])
-    @pytest.mark.parametrize("sharing", ["distinct", "k_is_v", "q_is_k_is_v"])
-    def test_grad_check(self, heads, sharing):
+    @staticmethod
+    def _grad_check(heads, sharing, q_rows, kv_rows):
         g = rng(11 + heads)
         e = 8
-        q, k, v = (param(g.standard_normal((n, e))) for n in (3, 5, 5))
+        q, k, v = (param(g.standard_normal((n, e))) for n in (q_rows, kv_rows, kv_rows))
         if sharing == "k_is_v":
             v = k
         elif sharing == "q_is_k_is_v":
@@ -290,7 +327,28 @@ class TestMultiHeadAttention:
         def loss_fn():
             return mean_all(mul(multi_head_attention(q, k, v, p, heads), weight))
 
-        assert grad_check(loss_fn, leaves) < 1e-6
+        return grad_check(loss_fn, leaves)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("sharing", ["distinct", "k_is_v", "q_is_k_is_v"])
+    def test_grad_check(self, heads, sharing):
+        assert self._grad_check(heads, sharing, 3, 5) < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("sharing", ["distinct", "k_is_v"])
+    def test_grad_check_key_major(self, heads, sharing):
+        # more queries than keys: the scores are laid out (keys, queries)
+        assert self._grad_check(heads, sharing, 6, 3) < 1e-6
+
+    @pytest.mark.parametrize("rows, key_major", [
+        ((6, 3), True), ((3, 6), False), ((5, 5), False), ((40, 31), True), ((40, 32), False)])
+    def test_softmax_is_kept_along_the_longer_axis_below_32_keys(self, rows, key_major):
+        g = rng(45)
+        (nq, nk), e = rows, 8
+        q, kv = param(g.standard_normal((2, nq, e))), param(g.standard_normal((2, nk, e)))
+        p = AttentionParams(*(param(g.standard_normal((e, e)) * 0.5) for _ in range(4)))
+        backward(mean_all(multi_head_attention(q, kv, kv, p, heads=2)))
+        assert p.spare["probs"].shape == (2, 2, *((nk, nq) if key_major else (nq, nk)))
 
     def test_mixed_stack_and_image_rejected(self):
         g = rng(6)
@@ -299,14 +357,12 @@ class TestMultiHeadAttention:
         with pytest.raises(ShapeError):
             multi_head_attention(q, kv, kv, p, heads=2)
 
-    # 2 heads x 4 x 6 float64 scores are 384 bytes per image: one image per
-    # chunk, then chunks of 2, 2 and 1 images
-    @pytest.mark.parametrize("chunk_bytes", [1, 768])
-    def test_score_chunks_change_no_bit(self, monkeypatch, chunk_bytes):
+    @staticmethod
+    def _chunked_and_whole(monkeypatch, chunk_bytes, q_rows, kv_rows):
         g = rng(40)
-        q, kv = param(g.standard_normal((5, 4, 8))), param(g.standard_normal((5, 6, 8)))
+        q, kv = param(g.standard_normal((5, q_rows, 8))), param(g.standard_normal((5, kv_rows, 8)))
         p = AttentionParams(*(param(g.standard_normal((8, 8)) * 0.5) for _ in range(4)))
-        weight = Tensor(g.standard_normal((5, 4, 8)))
+        weight = Tensor(g.standard_normal((5, q_rows, 8)))
         leaves = (q, kv, *(w for _, w in p.tensors()))
 
         def run():
@@ -316,8 +372,62 @@ class TestMultiHeadAttention:
 
         whole = run()
         monkeypatch.setattr(tensor, "CHUNK_BYTES", chunk_bytes)
-        chunked = run()
+        return run(), whole
+
+    # 2 heads x 4 x 6 float64 scores are 384 bytes per image: one image per
+    # chunk, then chunks of 2, 2 and 1 images
+    @pytest.mark.parametrize("chunk_bytes", [1, 768])
+    def test_score_chunks_change_no_bit(self, monkeypatch, chunk_bytes):
+        chunked, whole = self._chunked_and_whole(monkeypatch, chunk_bytes, 4, 6)
         assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 768])
+    def test_key_major_score_chunks_change_no_bit(self, monkeypatch, chunk_bytes):
+        chunked, whole = self._chunked_and_whole(monkeypatch, chunk_bytes, 6, 4)
+        assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
+
+
+# sha-256 (first 16 hex digits) of the visual-branch attention node's value and
+# of each gradient after one backward, at (images, query rows, keys): 8 x 85 x
+# 12 as a7 trains, 2 x 1,445 x 16 as at 240 px. Recorded on the query-major
+# layout that the key-major one replaced.
+VISUAL_BRANCH_DIGESTS = {
+    ((8, 85, 12), "float32"): {
+        "out": "9faee41f669c6682", "q": "b098c1566c7fedf8", "k": "b02f2a5634d8d451",
+        "v": "b078b340308be9c3", "wq": "1f6decc40ba6a70a", "wk": "f965b6d700c775bb",
+        "wv": "e97b7745fd398fca", "wo": "12bf5d8d67218e4c"},
+    ((8, 85, 12), "float64"): {
+        "out": "f1b260e12c62f902", "q": "3d8f7a97e6868648", "k": "95fb98c21b13ec7b",
+        "v": "a4a97a52ba2006d9", "wq": "9a1feee1bd67d3cc", "wk": "c6290812d01cf7cc",
+        "wv": "ed9e569913023baf", "wo": "9ebd6a629b1686f2"},
+    ((2, 1445, 16), "float32"): {
+        "out": "dd37523ceb7c2c9a", "q": "99d456b45fe7eb2b", "k": "a9804dc84c68f516",
+        "v": "3b3f7f88a0dc3074", "wq": "3d916736dec45d44", "wk": "25e4a165945af2de",
+        "wv": "faaa326e66f4bb11", "wo": "40cebef439ae5ff8"},
+    ((2, 1445, 16), "float64"): {
+        "out": "7f711e96b2dbc628", "q": "8b6efccf0d891928", "k": "c291acd1b98dfaba",
+        "v": "665bbdb23ae67911", "wq": "8b14bc3246f7b047", "wk": "7d6cd2560c15531c",
+        "wv": "dfe39a3dd6bcafb2", "wo": "996836386fbcd570"},
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(8, 85, 12), (2, 1445, 16)])
+def test_visual_branch_node_is_pinned(shape, dtype):
+    images, rows, keys = shape
+    g, e = rng(), 16
+    q = param(g.standard_normal((images, rows, e)).astype(dtype))
+    k, v = (param(g.standard_normal((images, keys, e)).astype(dtype)) for _ in range(2))
+    p = AttentionParams(*(param((g.standard_normal((e, e)) * 0.5).astype(dtype))
+                          for _ in range(4)))
+    weight = Tensor(g.standard_normal((images, rows, e)).astype(dtype))
+    out = multi_head_attention(q, k, v, p, heads=2)
+    backward(mean_all(mul(out, weight)))
+    assert p.spare["probs"].shape == (images, 2, keys, rows)  # key-major
+    named = {"out": out.value, "q": q.grad, "k": k.grad, "v": v.grad,
+             **{n: t.grad for n, t in p.tensors()}}
+    digests = {n: hashlib.sha256(a.tobytes()).hexdigest()[:16] for n, a in named.items()}
+    assert digests == VISUAL_BRANCH_DIGESTS[shape, dtype]
 
 
 class TestBatchAxisGradients:
@@ -365,6 +475,31 @@ def test_image_sum_adds_images_in_order(images, shape, dtype):
     out = tensor._image_sum(x)
     expect = np.cumsum(x, axis=0)[-1]
     assert out.dtype == dtype and out.shape == shape and out.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(85, 16), (1, 1, 1), (8, 12, 1), (8, 85, 1), (3, 7, 5),
+                                   (8, 85, 16), (8, 1445, 16)])
+def test_column_and_image_sums_equal_per_image_loops(shape, dtype):
+    g = rng(shape[-2])
+    x = (g.standard_normal(shape) * 10.0 ** g.uniform(-8, 8, shape)).astype(dtype)
+    stack = x if x.ndim == 3 else x[None]
+    per_image = []
+    for image in stack:
+        if shape[-1] == 1:
+            # numpy sums a lone column pairwise, as the engine always has
+            per_image.append(np.add.reduce(image, axis=0))
+        else:
+            acc = np.zeros(shape[-1], dtype)
+            for row in image:
+                acc += row
+            per_image.append(acc)
+    expect = per_image[0].copy()
+    for cols in per_image[1:]:
+        expect += cols
+    assert tensor._column_sum(x).shape == (1, shape[-1])
+    assert tensor._column_sum(x).tobytes() == expect.tobytes()
+    assert tensor._image_sum(np.stack(per_image)[:, None, :]).tobytes() == expect.tobytes()
 
 
 class TestFeedForward:
