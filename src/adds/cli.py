@@ -23,17 +23,12 @@ from . import __version__
 from .atomic import atomic_open
 from .errors import ConfigurationError, FormatError, NumericError
 from .checkpoint import load_checkpoint, save_checkpoint
-from .metrics import metrics_report
+from .metrics import F1_CUTOFFS, metrics_report
 from .optim import decoder_gradcheck_loss, grad_check
 from .pyramid import build_plan, cost_report
 from .rng import SeedStreams
 from .tensor import Tensor, mean_all, mul, scale
-from .training import (
-    TrainConfig,
-    evaluation_scores,
-    field_rule,
-    train,
-)
+from .training import EVAL_SEED, N_EVAL, TrainConfig, evaluation_scores, field_rule, train
 
 OUT_DIR_ENV = "ADDS_OUT_DIR"
 
@@ -241,10 +236,10 @@ def cmd_eval(args) -> int:
     else:
         settings = {
             "checkpoint": args.checkpoint,
-            "ks": sorted(args.k) if args.k else [3, 5],
+            "ks": sorted(args.k) if args.k else list(F1_CUTOFFS),
             "vocab": _read_vocab(args.vocab) if args.vocab else None,
-            "n_eval": 200 if args.n_eval is None else args.n_eval,
-            "eval_seed": 1234 if args.eval_seed is None else args.eval_seed,
+            "n_eval": N_EVAL if args.n_eval is None else args.n_eval,
+            "eval_seed": EVAL_SEED if args.eval_seed is None else args.eval_seed,
         }
         timestamp = _now()
     scores, labels, vocab = evaluation_scores(
@@ -338,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=False)
     p.add_argument("--manifest", help="rerun from a previous run manifest")
-    p.add_argument("--k", action="append", type=int,
-                   help="F1@k cutoff; repeatable (default 3 and 5)")
+    p.add_argument("--k", action="append", type=int, help="F1@k cutoff; repeatable "
+                   f"(default {' and '.join(map(str, F1_CUTOFFS))})")
     p.add_argument("--vocab",
                    help="comma-separated label names, or a file with one per line")
-    p.add_argument("--n-eval", dest="n_eval", type=int, help="default 200")
-    p.add_argument("--eval-seed", dest="eval_seed", type=int, help="default 1234")
+    p.add_argument("--n-eval", dest="n_eval", type=int, help=f"default {N_EVAL}")
+    p.add_argument("--eval-seed", dest="eval_seed", type=int, help=f"default {EVAL_SEED}")
     p.add_argument("--out", help=f"output dir (default ${OUT_DIR_ENV} or cwd)")
     p.add_argument("--format", choices=("text", "record"), default="text")
     p.set_defaults(func=cmd_eval)

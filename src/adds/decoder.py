@@ -35,7 +35,6 @@ class AttentionParams:
     wk: Tensor
     wv: Tensor
     wo: Tensor
-    spare: dict = field(default_factory=dict, repr=False, compare=False)  # see adds.tensor
 
     def tensors(self):
         return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
@@ -61,7 +60,6 @@ class FeedForwardParams:
 class LayerNormParams:
     gain: Tensor
     bias: Tensor
-    spare: dict = field(default_factory=dict, repr=False, compare=False)  # see adds.tensor
 
     def tensors(self):
         return [("gain", self.gain), ("bias", self.bias)]
@@ -212,7 +210,7 @@ def init_head(stream, e, dtype=np.float64) -> ClassifierHead:
 
 
 def _norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS, p.spare)
+    return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS)
 
 
 def _query_path(q, k, v, params, heads, noise):

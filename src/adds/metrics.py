@@ -4,6 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+F1_CUTOFFS = (3, 5)  # the F1@k a report gives unless asked for others
+
 
 @dataclass
 class MetricsReport:
@@ -87,7 +89,7 @@ def f1_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def metrics_report(scores, labels, ks=(3, 5)) -> MetricsReport:
+def metrics_report(scores, labels, ks=F1_CUTOFFS) -> MetricsReport:
     scores = np.atleast_2d(scores)
     labels = np.atleast_2d(labels)
     mAP, per_class, skipped = mean_average_precision(scores, labels)

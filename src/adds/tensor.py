@@ -19,18 +19,6 @@ dtype.
 Afterwards only leaves hold ``.grad``, and nothing holds the activations the
 graph saved: a training step's memory is bounded by its own graph, even
 while the caller keeps the previous step's loss.
-
-Each attention and layer-norm site owns a ``spare`` dict. A site's backward
-closure ends by putting the large arrays it saved there: the q/k/v projections
-(overwritten with their gradients on the way), head outputs and softmax, or
-the normalized rows. The site's next forward that builds a graph writes into
-those of the right shape and dtype, so a training step shaped like the last
-one reuses its memory instead of faulting it in again. Only the closure reads
-them, and it runs once. A stack whose image count alone changes, as at an
-epoch's short last batch and the full batch after it, replaces the spare. A
-role whose other axes change between steps, as the query count does under
-label selection, keeps no spare from then on: holding the stale ones would
-only fragment the heap. A graph-free forward takes none.
 """
 
 import numpy as np
@@ -92,24 +80,6 @@ def _image_sum(x: np.ndarray) -> np.ndarray:
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of ``a @ w`` w.r.t. the shared w: sum over images of a_b^T g_b."""
     return _image_sum(np.swapaxes(a, -1, -2) @ g)
-
-
-def _take(spare: dict, key: str, shape: tuple, dtype) -> np.ndarray:
-    """``spare[key]`` taken out of ``spare`` if it has ``shape`` and ``dtype``;
-    otherwise a new array, and the spare is dropped first. If the two differ
-    only in a stack's image count (axis 0), the new array takes the spare's
-    place at backward; otherwise the key is set to None and the role keeps no
-    spare from then on."""
-    buf = spare.get(key)
-    if buf is not None:
-        if buf.shape == shape and buf.dtype == dtype:
-            return spare.pop(key)
-        if len(shape) > 2 and (buf.shape[1:], buf.dtype) == (shape[1:], dtype):
-            del spare[key]
-        else:
-            spare[key] = None
-    del buf
-    return np.empty(shape, dtype)
 
 
 def _column_sum(g: np.ndarray) -> np.ndarray:
@@ -220,20 +190,15 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(out_val, (x,), backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
-               spare: dict | None = None) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then gain*x + bias.
-    ``spare``, if given, is the site's buffer dict (module docstring)."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Per-row normalization to zero mean / unit variance, then gain*x + bias."""
     cols = x.value.shape[-1]
     if gain.value.shape != (1, cols) or bias.value.shape != (1, cols):
         raise ShapeError(
             f"layer_norm: x {x.value.shape}, gain {gain.value.shape}, bias {bias.value.shape}"
         )
-    if not _needs_grad((x, gain, bias)):
-        spare = None
     # the centered rows, normalized in place once their variance is known
-    y0 = np.subtract(x.value, np.add.reduce(x.value, axis=-1, keepdims=True) / cols,
-                     out=None if spare is None else _take(spare, "y0", x.shape, x.value.dtype))
+    y0 = x.value - np.add.reduce(x.value, axis=-1, keepdims=True) / cols
     var = np.add.reduce(y0 * y0, axis=-1, keepdims=True) / cols
     inv_std = 1.0 / np.sqrt(var + x.value.dtype.type(eps))
     y0 *= inv_std
@@ -251,8 +216,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5,
         dy0 -= np.multiply(y0, m2, out=y0)
         dy0 *= inv_std
         x.grad += dy0
-        if spare is not None:
-            spare.setdefault("y0", y0)
 
     return _node(out_val, (x, gain, bias), backward)
 
@@ -326,14 +289,13 @@ def batch_chunks(n: int, item_bytes: int) -> list:
 def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) -> Tensor:
     """Scaled dot-product attention over all heads as one graph node.
 
-    ``params`` carries e x e projections wq, wk, wv, wo and the site's
-    ``spare``. Requires e % heads == 0, k and v of the same rows, and q, k, v
-    of the same image count.
+    ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0,
+    k and v of the same rows, and q, k, v of the same image count.
     Each image's projections are viewed as (heads, rows, e / heads) stacks;
     backward keeps the projections and the softmax, nothing per head. The
     scores of a stack are computed as many images at a time as fit CHUNK_BYTES;
     an image's scores depend on that image alone, so chunking changes no result.
-    Scores and the kept softmax (``probs`` spare) are (..., keys, queries) when
+    Scores and the kept softmax (``probs``) are (..., keys, queries) when
     there are fewer keys than queries and than 32, as in the visual branch:
     the softmax and its backward then run along the long axis, not ~25 ns per
     short row. Both layouts give the same bits (sgemm rounds a sum over
@@ -357,11 +319,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     inputs = (q, k, v)
     weights = (params.wq, params.wk, params.wv)
     parents = (*inputs, *weights, params.wo)
-    grad = _needs_grad(parents)
-    spare = params.spare if grad else {}
-    proj = [np.matmul(x.value, w.value, out=_take(
-                spare, key, (*x.value.shape[:-1], e), np.result_type(x.value, w.value)))
-            for key, x, w in zip("qkv", inputs, weights)]
+    # np.empty, not x @ w: same bits, but @ put arrays where 240 px training ran 5% slower
+    proj = [np.matmul(x.value, w.value, out=np.empty(
+                (*x.value.shape[:-1], e), np.result_type(x.value, w.value)))
+            for x, w in zip(inputs, weights)]
     qh, kh, vh = (split(p) for p in proj)
     n_q, n_k = qh.shape[-2], kh.shape[-2]
     key_major = n_k < min(n_q, 32)
@@ -379,10 +340,10 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     chunks = [slice(None)] if qh.ndim < 4 else batch_chunks(
         qh.shape[0], qh.shape[-3] * n_q * n_k * qh.itemsize)
     # the heads write their outputs straight into the merged (..., rows, e) layout
-    attended = _take(spare, "attended", proj[0].shape, qh.dtype)
+    attended = np.empty(proj[0].shape, qh.dtype)
     heads_out = split(attended)
     rows = (n_k, n_q) if key_major else (n_q, n_k)
-    probs = _take(spare, "probs", (*qh.shape[:-2], *rows), qh.dtype) if grad else None
+    probs = np.empty((*qh.shape[:-2], *rows), qh.dtype) if _needs_grad(parents) else None
     for c in chunks:
         # scaling the scores, not q, keeps the rounding of the unfused op order
         scores = lay(qh[c], kh[c], out=None if probs is None else probs[c])
@@ -413,8 +374,6 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
         for x, w, gp in zip(inputs, weights, proj):
             x.grad += gp @ w.value.T
             w.grad += _weight_grad(x.value, gp)
-        for key, buf in zip(("q", "k", "v", "attended", "probs"), (*proj, attended, probs)):
-            spare.setdefault(key, buf)  # unless the role is marked None
 
     return _node(attended @ params.wo.value, parents, backward)
 
@@ -438,8 +397,7 @@ def backward(root: Tensor) -> None:
     drops its gradient, its backward closure and its parents, so the
     activations its closure saved are freed as the pass goes and the root is
     left a leaf. Only leaves keep ``.grad``: a parameter its accumulated
-    gradient, a non-trainable leaf zeros. An attention or layer-norm closure
-    ends by handing its saved arrays to its site's ``spare`` (module docstring).
+    gradient, a non-trainable leaf zeros.
     """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward expects a scalar (1,1) root, got {root.value.shape}")

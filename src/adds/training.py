@@ -232,6 +232,9 @@ def encode_image(world, plan, image, dtype=np.float64) -> np.ndarray:
     return encode_images(world, plan, [image], dtype)[0]
 
 
+N_EVAL, EVAL_SEED = 200, 1234  # the evaluation set, unless a run names another
+
+
 def eval_samples(world, n_eval: int, eval_seed: int) -> list:
     """The evaluation set: ``n_eval`` fresh (image, labels) pairs of the world."""
     if n_eval < 1:
@@ -387,7 +390,7 @@ def restore_model(ckpt: Checkpoint):
     return config, world, stack, head
 
 
-def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=200, eval_seed=1234):
+def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=N_EVAL, eval_seed=EVAL_SEED):
     """Score the evaluation set (``eval_samples``) of the checkpoint's world.
 
     Returns (scores n x |vocab|, labels, vocab names). ``vocab`` defaults to
@@ -433,7 +436,7 @@ def cosine_baseline_scores(world, images, vocab) -> np.ndarray:
                            label_queries(world, vocab))
 
 
-def open_vocab_report(ckpt: Checkpoint, n_eval=200, eval_seed=1234) -> dict:
+def open_vocab_report(ckpt: Checkpoint, n_eval=N_EVAL, eval_seed=EVAL_SEED) -> dict:
     """mAP of the decoder and of the cosine baseline over the seen, the unseen
     and all classes: {"decoder": {"seen", "unseen", "all"}, "cosine": {…}}.
     Each group is a slice of the columns of one forward over every class."""

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from reference import ref_dm_block
@@ -16,7 +18,7 @@ from adds.errors import ConfigurationError, ShapeError
 from adds.rng import SeedStreams
 from adds.supervision import AslConfig, asl_loss_node, select_labels
 from adds.tensor import Tensor, add, backward, scale
-from adds.training import TrainConfig, restore_model, train
+from adds.training import TrainConfig, build_model, train
 
 
 def make_stack(seed=0, **kw):
@@ -282,9 +284,9 @@ class TestBatchAxis:
         np.testing.assert_equal(stream.bit_generator.state, before)
 
 
-class TestSiteSpares:
-    """Each attention and layer-norm site writes its next forward's arrays into
-    those its last backward gave back. No result may depend on that."""
+class TestStepsAreIndependent:
+    """A training step depends on nothing an earlier step left behind: each
+    agrees bit for bit with the same step on a fresh model."""
 
     def _model(self):
         stack = init_stack(SeedStreams(31).stream("init"), depth=2, embed_dim=8, heads=2,
@@ -310,36 +312,14 @@ class TestSiteSpares:
     def _grads(model):
         return [t.grad.copy() for _, t in model[0].tensors() + model[1].tensors()]
 
-    @staticmethod
-    def _spares(stack):
-        """The spare dicts of every site the forward runs."""
-        out = []
-        for i, blk in enumerate(stack.blocks):
-            visual = stack.runs_visual_branch(i)
-            out += [blk.attn_text.spare] + [blk.attn_visual.spare] * visual
-            out += [blk.norms[s].spare for s in NORM_SITES if visual or s != "v_out"]
-        return out
-
     def _assert_fresh_model_agrees(self, inputs, loss, grads):
         fresh_loss, fresh_grads = self._step(self._model(), inputs)
         np.testing.assert_array_equal(loss, fresh_loss)
         for g, f in zip(grads, fresh_grads):
             np.testing.assert_array_equal(g, f)
 
-    def test_a_step_reuses_the_arrays_the_last_backward_gave_back(self):
-        model = self._model()
-        spares = self._spares(model[0])
-        self._step(model, self._inputs(40, 5))
-        held = [dict(s) for s in spares]
-        assert all(held) and all(a is not None for h in held for a in h.values())
-        loss = self._loss(model, self._inputs(41, 5))
-        assert not any(spares)  # the forward took every one
-        backward(loss)
-        for s, h in zip(spares, held):
-            assert s.keys() == h.keys() and all(s[k] is h[k] for k in s)
-
     def test_interleaved_graphs_match_a_fresh_model(self):
-        # D, built while C still holds what A gave back, must not share C's arrays
+        # forwards and backwards of four graphs of one model, interleaved
         model = self._model()
         inputs = {n: self._inputs(50 + i, 5) for i, n in enumerate("ABCD")}
         losses, grads = {}, {}
@@ -360,46 +340,31 @@ class TestSiteSpares:
     def test_changing_query_counts_are_bit_identical(self):
         # as label selection gives a new |S'| at each step
         model = self._model()
-        spare = model[0].blocks[0].attn_text.spare
         for step, queries in enumerate([5, 3, 5, 6, 6, 2]):
             inputs = self._inputs(60 + step, queries)
             loss, grads = self._step(model, inputs)
             self._assert_fresh_model_agrees(inputs, loss, grads)
-            # the query-shaped roles keep nothing once their shape has changed;
-            # the key/value projections, over the same rows every step, are kept
-            assert (spare["probs"] is None) == (step > 0)
-            assert spare["k"].shape == spare["v"].shape == (3, 7, 8)
 
-    def test_full_batches_reuse_after_a_short_last_batch(self, monkeypatch):
+    def test_steps_after_a_short_last_batch_match_a_fresh_model(self, monkeypatch):
         # 20 images in batches of 8: each epoch ends on a batch of 4
+        config = TrainConfig(classes=8, n_seen=6, image_side=32, base_size=32, embed_dim=8,
+                             depth=2, ffn_hidden=8, n_train=20, batch_size=8, epochs=2)
         steps = []
 
-        def forward(q0, kv0, stack, **kw):
-            spares = self._spares(stack)
-            held = [{k: None if a is None else a.shape[0] for k, a in s.items()}
-                    for s in spares]
-            q = stack_forward(q0, kv0, stack, **kw)
-            steps.append((q0.shape[0], held, any(spares)))
+        def forward(q0, kv0, stack, training, stream):
+            fresh, _ = build_model(config, SeedStreams(0))
+            for (_, f), (_, t) in zip(fresh.tensors(), stack.tensors()):
+                f.value = t.value.copy()
+            expected = stack_forward(q0, kv0, fresh, training=training,
+                                     stream=copy.deepcopy(stream))
+            q = stack_forward(q0, kv0, stack, training=training, stream=stream)
+            np.testing.assert_array_equal(q.value, expected.value)
+            steps.append(q0.shape[0])
             return q
 
         monkeypatch.setattr(training, "stack_forward", forward)
-        train(TrainConfig(classes=8, n_seen=6, image_side=32, base_size=32, embed_dim=8,
-                          depth=2, ffn_hidden=8, n_train=20, batch_size=8, epochs=2))
-        assert [images for images, _, _ in steps] == [8, 8, 4, 8, 8, 4]
-        roles = ({"q", "k", "v", "attended", "probs"}, {"y0"})
-        for (before, _, _), (_, held, left) in zip(steps, steps[1:]):
-            # every role holds the last step's array, and the forward takes it
-            # or, for a new image count, replaces it
-            assert all(h.keys() in roles and set(h.values()) == {before} for h in held)
-            assert not left
-
-    def test_restored_model_forward_leaves_every_spare_empty(self):
-        config = TrainConfig(classes=8, n_seen=6, image_side=32, base_size=32,
-                             embed_dim=8, depth=2, ffn_hidden=8, n_train=8, epochs=1)
-        _, _, stack, head = restore_model(train(config))
-        q, kv = random_qkv(70, k=6, n=5, e=8)
-        classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
-        assert len(self._spares(stack)) == 7 + 5 and not any(self._spares(stack))
+        train(config)
+        assert steps == [8, 8, 4, 8, 8, 4]
 
 
 class TestClassifierHead:

@@ -187,46 +187,16 @@ class TestLayerNorm:
         np.testing.assert_allclose(out.value, expected, atol=1e-10)
 
 
-    def test_spare_of_the_same_shape_is_reused(self):
-        x = param(rng(6).standard_normal((3, 4)))
-        gain, bias = self._unit_affine(4)
-        buf = np.zeros((3, 4))
-        spare = {"y0": buf}
-        out = layer_norm(x, gain, bias, spare=spare)
-        assert spare == {}
-        np.testing.assert_array_equal(out.value, layer_norm(x, gain, bias).value)
-        backward(mean_all(mul(out, out)))
-        assert spare["y0"] is buf
+def softmax_calls(monkeypatch):
+    """The (scores shape, axis) of each softmax attention takes from now on."""
+    calls, softmax = [], tensor.softmax
 
-    @pytest.mark.parametrize("stale", [np.zeros((2, 4)), np.zeros((3, 4), np.float32)])
-    def test_spare_of_another_shape_or_dtype_ends_the_role(self, stale):
-        x = param(rng(6).standard_normal((3, 4)))
-        gain, bias = self._unit_affine(4)
-        spare = {"y0": stale}
-        out = layer_norm(x, gain, bias, spare=spare)
-        assert spare == {"y0": None}
-        np.testing.assert_array_equal(out.value, layer_norm(x, gain, bias).value)
-        backward(mean_all(mul(out, out)))
-        assert spare == {"y0": None}
+    def spy(x, out=None, axis=-1):
+        calls.append((x.shape, axis))
+        return softmax(x, out=out, axis=axis)
 
-    def test_spare_of_another_image_count_is_replaced(self):
-        # an epoch's short last batch, then the next epoch's full one
-        gain, bias = self._unit_affine(4)
-        spare = {"y0": np.zeros((3, 2, 4))}
-        for images in (1, 3):
-            x = param(rng(6).standard_normal((images, 2, 4)))
-            out = layer_norm(x, gain, bias, spare=spare)
-            assert spare == {}
-            np.testing.assert_array_equal(out.value, layer_norm(x, gain, bias).value)
-            backward(mean_all(mul(out, out)))
-            assert spare["y0"].shape == (images, 2, 4)
-
-    def test_no_graph_takes_or_leaves_a_spare(self):
-        gain, bias = self._unit_affine(4)
-        buf = np.zeros((3, 4))
-        spare = {"y0": buf}
-        layer_norm(Tensor(rng(6).standard_normal((3, 4))), gain, bias, spare=spare)
-        assert spare["y0"] is buf and not buf.any()
+    monkeypatch.setattr(tensor, "softmax", spy)
+    return calls
 
 
 def identity_attention(e):
@@ -342,13 +312,16 @@ class TestMultiHeadAttention:
 
     @pytest.mark.parametrize("rows, key_major", [
         ((6, 3), True), ((3, 6), False), ((5, 5), False), ((40, 31), True), ((40, 32), False)])
-    def test_softmax_is_kept_along_the_longer_axis_below_32_keys(self, rows, key_major):
+    def test_softmax_is_kept_along_the_longer_axis_below_32_keys(self, monkeypatch, rows,
+                                                                  key_major):
         g = rng(45)
         (nq, nk), e = rows, 8
         q, kv = param(g.standard_normal((2, nq, e))), param(g.standard_normal((2, nk, e)))
         p = AttentionParams(*(param(g.standard_normal((e, e)) * 0.5) for _ in range(4)))
+        calls = softmax_calls(monkeypatch)
         backward(mean_all(multi_head_attention(q, kv, kv, p, heads=2)))
-        assert p.spare["probs"].shape == (2, 2, *((nk, nq) if key_major else (nq, nk)))
+        layout, axis = ((nk, nq), -2) if key_major else ((nq, nk), -1)
+        assert calls == [((2, 2, *layout), axis)]
 
     def test_mixed_stack_and_image_rejected(self):
         g = rng(6)
@@ -413,7 +386,7 @@ VISUAL_BRANCH_DIGESTS = {
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("shape", [(8, 85, 12), (2, 1445, 16)])
-def test_visual_branch_node_is_pinned(shape, dtype):
+def test_visual_branch_node_is_pinned(monkeypatch, shape, dtype):
     images, rows, keys = shape
     g, e = rng(), 16
     q = param(g.standard_normal((images, rows, e)).astype(dtype))
@@ -421,9 +394,12 @@ def test_visual_branch_node_is_pinned(shape, dtype):
     p = AttentionParams(*(param((g.standard_normal((e, e)) * 0.5).astype(dtype))
                           for _ in range(4)))
     weight = Tensor(g.standard_normal((images, rows, e)).astype(dtype))
+    calls = softmax_calls(monkeypatch)
     out = multi_head_attention(q, k, v, p, heads=2)
     backward(mean_all(mul(out, weight)))
-    assert p.spare["probs"].shape == (images, 2, keys, rows)  # key-major
+    # key-major, a chunk of images at a time
+    assert {(scores[1:], axis) for scores, axis in calls} == {((2, keys, rows), -2)}
+    assert sum(scores[0] for scores, _ in calls) == images
     named = {"out": out.value, "q": q.grad, "k": k.grad, "v": v.grad,
              **{n: t.grad for n, t in p.tensors()}}
     digests = {n: hashlib.sha256(a.tobytes()).hexdigest()[:16] for n, a in named.items()}
