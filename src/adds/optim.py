@@ -8,7 +8,7 @@ from .decoder import classify, init_head, init_stack, stack_forward
 from .errors import ConfigurationError, NumericError
 from .rng import SeedStreams
 from .supervision import AslConfig, asl_loss_node
-from .tensor import Tensor, backward
+from .tensor import Tensor, _node, backward
 
 
 @dataclass
@@ -176,9 +176,9 @@ def decoder_gradcheck_loss(dims: int, depth: int, corrupt: bool = False):
             return loss
         extra = 1e-2 * float(np.sum(params[0].value))
 
-        def pass_through(g):
+        def pass_through(g, loss):
             loss.grad += g
 
-        return Tensor(loss.value + extra, _parents=(loss,), _backward=pass_through)
+        return _node(loss.value + extra, (loss,), pass_through)
 
     return loss_fn, params

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor
+from .tensor import Tensor, _node
 
 PROB_EPS = 1e-7
 
@@ -118,11 +118,10 @@ def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
     total = np.cumsum(values.astype(dtype))[-1]
     grad = grad.reshape(p.value.shape).astype(dtype)
 
-    def backward(g):
+    def backward(g, p):
         p.grad += g[0, 0] * inv_n * grad
 
-    return Tensor(np.full((1, 1), total * inv_n, dtype=dtype),
-                  _parents=(p,), _backward=backward)
+    return _node(np.full((1, 1), total * inv_n, dtype=dtype), (p,), backward)
 
 
 def cosine_baseline(image_rows, label_embeddings) -> np.ndarray:

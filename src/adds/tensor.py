@@ -15,35 +15,54 @@ trainable leaf upstream) returns a plain leaf, so inference keeps no graph.
 Tests run in float64, training may run in float32; ops preserve the input
 dtype.
 
-``backward`` consumes the graph it walks, so a graph is back-propagated once.
-Afterwards only leaves hold ``.grad``, and nothing holds the activations the
-graph saved: a training step's memory is bounded by its own graph, even
-while the caller keeps the previous step's loss.
+A value belongs to the caller holding its tensor and to the backward closures
+that read it, each of which captures, when its op runs, the arrays it reads.
+The graph keeps only what routes gradients (``Tensor.node``), so a value no
+backward reads dies with the caller's last reference, and no gradient is
+formed for a leaf that needs none. ``backward`` consumes the graph: afterwards
+only leaves hold ``.grad``, and a step's memory is bounded by its own graph.
 """
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
 
+_STAND_IN = bytes(16)  # the one element each node's zero-stride stand-in for a value views
+
 
 class Tensor:
-    """A node in the computation graph.
+    """A value and its place in the computation graph.
 
     Leaf tensors with ``trainable=True`` are parameters: ``backward`` leaves
     their accumulated gradient in ``.grad``. Non-trainable leaves get a zero
-    gradient (frozen-parameter contract). An interior node keeps its parents
-    and backward closure until ``backward`` passes its gradient on; then it
-    drops them and its ``.grad``, and holds only its value.
+    gradient (frozen-parameter contract). An op's result holds its parents
+    and backward closure until an op consumes it, then its ``node()`` does,
+    until ``backward`` has passed its gradient on.
     """
 
-    __slots__ = ("value", "grad", "trainable", "_parents", "_backward")
+    __slots__ = ("value", "grad", "trainable", "_parents", "_backward", "_node")
 
     def __init__(self, value, trainable=False, _parents=(), _backward=None):
-        self.value = np.atleast_2d(np.asarray(value))
+        # an op's result is such an array already, and atleast_2d costs ~0.4 us an op
+        self.value = (value if type(value) is np.ndarray and value.ndim > 1
+                      else np.atleast_2d(np.asarray(value)))
         self.grad = None
         self.trainable = trainable
         self._parents = _parents
         self._backward = _backward
+        self._node = None
+
+    def node(self) -> "Tensor":
+        """What a consumer keeps of this tensor: a leaf itself. An op's result
+        hands its parents and closure to a node made on first use, whose value
+        is a zero-stride stand-in: shape and dtype, no data. Nodes are reached
+        only through ``_parents`` and have no node of their own."""
+        if self._node is None and self._parents:
+            v, n = self.value, Tensor.__new__(Tensor)
+            n.value = np.ndarray(v.shape, v.dtype, _STAND_IN, 0, (0,) * v.ndim)
+            n.grad, n.trainable, n._parents, n._backward = None, False, self._parents, self._backward
+            self._node, self._parents, self._backward = n, (), None
+        return self._node or self
 
     @property
     def shape(self):
@@ -57,14 +76,26 @@ def param(value, trainable=True) -> Tensor:
     return Tensor(np.array(value), trainable=trainable)
 
 
-def _needs_grad(parents) -> bool:
-    return any(p.trainable or p._parents for p in parents)
-
-
 def _node(value, parents, backward) -> Tensor:
-    if not _needs_grad(parents):
+    """An op's result. ``backward(g, *routes)`` adds into the ``.grad`` of each
+    parent's node, given as None for a leaf that needs no gradient."""
+    nodes = [p.node() for p in parents]
+    routes = [n if n.trainable or n._parents else None for n in nodes]
+    if not any(routes):
         return Tensor(value)
-    return Tensor(value, _parents=parents, _backward=backward)
+    return Tensor(value, _parents=tuple(nodes), _backward=lambda g: backward(g, *routes))
+
+
+def _binary(value, a, b, grad_a, grad_b) -> Tensor:
+    """An op's result on a and b, whose gradients are ``grad_a(g)`` and
+    ``grad_b(g)``, formed only for an input that needs one, a's first."""
+    def backward(g, a, b):
+        if a is not None:
+            a.grad += grad_a(g)
+        if b is not None:
+            b.grad += grad_b(g)
+
+    return _node(value, (a, b), backward)
 
 
 def _image_sum(x: np.ndarray) -> np.ndarray:
@@ -118,53 +149,34 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     """(..., n, k) @ (k, m); b is shared by every image of a stack."""
     if b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
-    out_val = a.value @ b.value
-
-    def backward(g):
-        a.grad += g @ b.value.T
-        b.grad += _weight_grad(a.value, g)
-
-    return _node(out_val, (a, b), backward)
+    av, bv = a.value, b.value
+    return _binary(av @ bv, a, b, lambda g: g @ bv.T, lambda g: _weight_grad(av, g))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def backward(g):
-        a.grad += g
-        b.grad += g
-
-    return _node(a.value + b.value, (a, b), backward)
+    return _binary(a.value + b.value, a, b, lambda g: g, lambda g: g)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
-
-    def backward(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
-
-    return _node(a.value * b.value, (a, b), backward)
+    av, bv = a.value, b.value
+    return _binary(av * bv, a, b, lambda g: g * bv, lambda g: g * av)
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """x + v with v broadcast over rows (and images); v must be 1 x cols."""
     if v.value.shape != (1, x.value.shape[-1]):
         raise ShapeError(f"add_rowvec: {x.value.shape} + {v.value.shape}")
-
-    def backward(g):
-        x.grad += g
-        v.grad += _column_sum(g)
-
-    return _node(x.value + v.value, (x, v), backward)
+    return _binary(x.value + v.value, x, v, lambda g: g, _column_sum)
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = x.value.dtype.type(s)
 
-    def backward(g):
+    def backward(g, x):
         x.grad += g * s
 
     return _node(x.value * s, (x,), backward)
@@ -173,7 +185,7 @@ def scale(x: Tensor, s: float) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     mask = x.value > 0
 
-    def backward(g):
+    def backward(g, x):
         x.grad += g * mask
 
     return _node(np.where(mask, x.value, x.value.dtype.type(0)), (x,), backward)
@@ -184,7 +196,7 @@ def sigmoid(x: Tensor) -> Tensor:
     out_val = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v)))).astype(v.dtype)
 
-    def backward(g):
+    def backward(g, x):
         x.grad += g * out_val * (1.0 - out_val)
 
     return _node(out_val, (x,), backward)
@@ -202,20 +214,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.add.reduce(y0 * y0, axis=-1, keepdims=True) / cols
     inv_std = 1.0 / np.sqrt(var + x.value.dtype.type(eps))
     y0 *= inv_std
-    out_val = y0 * gain.value
+    gv = gain.value
+    out_val = y0 * gv
     out_val += bias.value
 
-    def backward(g):
-        gain.grad += _column_sum(g * y0)
-        bias.grad += _column_sum(g)
-        dy0 = g * gain.value
-        m1 = np.add.reduce(dy0, axis=-1, keepdims=True) / cols
-        m2 = np.add.reduce(dy0 * y0, axis=-1, keepdims=True) / cols
-        # (dy0 - m1 - y0 * m2) * inv_std in place; y0 is read no more
-        dy0 -= m1
-        dy0 -= np.multiply(y0, m2, out=y0)
-        dy0 *= inv_std
-        x.grad += dy0
+    def backward(g, x, gain, bias):
+        if gain is not None:
+            gain.grad += _column_sum(g * y0)
+        if bias is not None:
+            bias.grad += _column_sum(g)
+        if x is not None:
+            dy0 = g * gv
+            m1 = np.add.reduce(dy0, axis=-1, keepdims=True) / cols
+            m2 = np.add.reduce(dy0 * y0, axis=-1, keepdims=True) / cols
+            # (dy0 - m1 - y0 * m2) * inv_std in place; y0 is read no more
+            dy0 -= m1
+            dy0 -= np.multiply(y0, m2, out=y0)
+            dy0 *= inv_std
+            x.grad += dy0
 
     return _node(out_val, (x, gain, bias), backward)
 
@@ -236,7 +252,7 @@ def dropout(x: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
     factor = x.value.dtype.type(1.0 / (1.0 - rate))
     mask = keep.astype(x.value.dtype) * factor
 
-    def backward(g):
+    def backward(g, x):
         x.grad += g * mask
 
     return _node(x.value * mask, (x,), backward)
@@ -245,7 +261,7 @@ def dropout(x: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
 def mean_all(x: Tensor) -> Tensor:
     n = x.value.size
 
-    def backward(g):
+    def backward(g, x):  # reads x's node only for its shape and dtype
         x.grad += np.full_like(x.value, g[0, 0] / n)
 
     return _node(np.array([[x.value.mean()]], dtype=x.value.dtype), (x,), backward)
@@ -316,13 +332,12 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     def split(x):  # (..., rows, e) -> (..., heads, rows, dh)
         return np.swapaxes(x.reshape(*x.shape[:-1], heads, dh), -2, -3)
 
-    inputs = (q, k, v)
+    values = [x.value for x in (q, k, v)]
     weights = (params.wq, params.wk, params.wv)
-    parents = (*inputs, *weights, params.wo)
+    parents = (q, k, v, *weights, params.wo)
     # np.empty, not x @ w: same bits, but @ put arrays where 240 px training ran 5% slower
-    proj = [np.matmul(x.value, w.value, out=np.empty(
-                (*x.value.shape[:-1], e), np.result_type(x.value, w.value)))
-            for x, w in zip(inputs, weights)]
+    proj = [np.matmul(x, w.value, out=np.empty((*x.shape[:-1], e), np.result_type(x, w.value)))
+            for x, w in zip(values, weights)]
     qh, kh, vh = (split(p) for p in proj)
     n_q, n_k = qh.shape[-2], kh.shape[-2]
     key_major = n_k < min(n_q, 32)
@@ -343,15 +358,17 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     attended = np.empty(proj[0].shape, qh.dtype)
     heads_out = split(attended)
     rows = (n_k, n_q) if key_major else (n_q, n_k)
-    probs = np.empty((*qh.shape[:-2], *rows), qh.dtype) if _needs_grad(parents) else None
+    graph = any(n.trainable or n._parents for n in map(Tensor.node, parents))
+    probs = np.empty((*qh.shape[:-2], *rows), qh.dtype) if graph else None  # backward reads it
     for c in chunks:
         # scaling the scores, not q, keeps the rounding of the unfused op order
         scores = lay(qh[c], kh[c], out=None if probs is None else probs[c])
         scores *= s
         np.matmul(by_query(softmax(scores, out=scores, axis=axis)), vh[c], out=heads_out[c])
 
-    def backward(g):
-        params.wo.grad += _weight_grad(attended, g)
+    def backward(g, q, k, v, wq, wk, wv, wo):
+        if wo is not None:
+            wo.grad += _weight_grad(attended, g)
         g_att = split(np.matmul(g, params.wo.value.T, out=attended))
         # a chunk's projections are read for the last time in its own pass,
         # which overwrites them with their gradients
@@ -371,9 +388,11 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
             kh_t[c] = g_kh
         # q, k, v in this order: they may be one tensor, and the order of
         # accumulation fixes the rounding of its gradient
-        for x, w, gp in zip(inputs, weights, proj):
-            x.grad += gp @ w.value.T
-            w.grad += _weight_grad(x.value, gp)
+        for x, xv, w, w_node, gp in zip((q, k, v), values, weights, (wq, wk, wv), proj):
+            if x is not None:
+                x.grad += gp @ w.value.T
+            if w_node is not None:
+                w_node.grad += _weight_grad(xv, gp)
 
     return _node(attended @ params.wo.value, parents, backward)
 
@@ -392,15 +411,16 @@ def backward(root: Tensor) -> None:
     """Accumulate gradients of a scalar root into every reachable leaf, and
     consume the graph on the way.
 
-    Each node's gradient buffer is made, as zeros, just before the first of
-    its consumers adds into it. Once a node has passed its gradient on, it
-    drops its gradient, its backward closure and its parents, so the
-    activations its closure saved are freed as the pass goes and the root is
-    left a leaf. Only leaves keep ``.grad``: a parameter its accumulated
-    gradient, a non-trainable leaf zeros.
+    Each node that needs a gradient gets its buffer, as zeros, just before
+    the first of its consumers adds into it. Once a node has passed its
+    gradient on, it drops its gradient, its backward closure and its parents,
+    so the activations its closure saved are freed as the pass goes and the
+    root is left a leaf. Only leaves keep ``.grad``: a parameter its
+    accumulated gradient, a non-trainable leaf zeros.
     """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward expects a scalar (1,1) root, got {root.value.shape}")
+    root = root.node()
     topo: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -426,7 +446,7 @@ def backward(root: Tensor) -> None:
                 node.grad = np.zeros_like(node.value)
             continue
         for p in node._parents:
-            if p.grad is None:
+            if p.grad is None and (p.trainable or p._parents):
                 p.grad = np.zeros_like(p.value)
         if node._backward is not None:
             node._backward(node.grad)

@@ -1,10 +1,11 @@
 import copy
+import weakref
 
 import numpy as np
 import pytest
 from reference import ref_dm_block
 
-from adds import training
+from adds import decoder, training
 from adds.decoder import (
     NORM_SITES,
     baseline_block_forward,
@@ -17,7 +18,7 @@ from adds.decoder import (
 from adds.errors import ConfigurationError, ShapeError
 from adds.rng import SeedStreams
 from adds.supervision import AslConfig, asl_loss_node, select_labels
-from adds.tensor import Tensor, add, backward, scale
+from adds.tensor import Tensor, add, backward, param, scale
 from adds.training import TrainConfig, build_model, train
 
 
@@ -211,6 +212,85 @@ class TestStack:
         q0, kv = random_qkv(7, k=3, n=5)
         probs = classify(stack_forward(Tensor(q0), Tensor(kv), stack), head)
         assert probs._parents == () and probs._backward is None
+
+
+class WatchedLeaf(Tensor):
+    """A frozen leaf that records every array assigned to its ``.grad``."""
+
+    @property
+    def grad(self):
+        return self.__dict__.get("_grad")
+
+    @grad.setter
+    def grad(self, value):
+        self.__dict__["_grad"] = value
+        self.__dict__.setdefault("assigned", []).append(value)
+
+
+class TestWhatTheGraphKeeps:
+    """The graph keeps the arrays backward reads; a value no backward reads
+    dies with the caller's last reference, and a frozen leaf's gradient is
+    never formed."""
+
+    @staticmethod
+    def _loss(stack, kv):
+        head = init_head(SeedStreams(6).stream("head"), 4)
+        q0 = np.broadcast_to(random_qkv(7, k=3, n=5)[0], (2, 3, 4))
+        q = stack_forward(Tensor(q0), kv, stack, training=True,
+                          stream=SeedStreams(8).stream("dropout"))
+        return asl_loss_node(classify(q, head), np.array([[1, 0, 1], [0, 1, 1]]), AslConfig())
+
+    def test_visual_branch_values_die_as_each_block_returns(self, monkeypatch):
+        stack = make_stack(seed=5, depth=3, heads=2, dropout_rate=0.1)
+        kv = np.stack([random_qkv(7, k=3, n=5)[1] * (b + 1) for b in range(2)])
+        visual = {id(b.attn_visual) for b in stack.blocks}
+        v_out_gains = {id(b.norms["v_out"].gain) for b in stack.blocks}
+        unread, read = [], []  # weak references to values
+        attention, layer_norm = decoder.multi_head_attention, decoder.layer_norm
+
+        def attention_spy(q, k, v, params, heads):
+            out = attention(q, k, v, params, heads)
+            if id(params) in visual:
+                unread.append(weakref.ref(out.value))
+            return out
+
+        def layer_norm_spy(x, gain, bias, eps):
+            out = layer_norm(x, gain, bias, eps)
+            if id(gain) in v_out_gains:  # x is the residual sum, out the next block's kv
+                unread.append(weakref.ref(x.value))
+                read.append(weakref.ref(out.value))
+            return out
+
+        monkeypatch.setattr(decoder, "multi_head_attention", attention_spy)
+        monkeypatch.setattr(decoder, "layer_norm", layer_norm_spy)
+        loss = self._loss(stack, Tensor(kv))
+        # blocks 0 and 1 run the visual branch: an attention output and a
+        # residual sum each, which only the block's own locals held
+        assert len(unread) == 4 and all(ref() is None for ref in unread)
+        # the refreshed kv rows are read by the next block's backward
+        assert len(read) == 2 and all(ref() is not None for ref in read)
+        assert loss._parents
+        backward(loss)
+        assert all(ref() is None for ref in read)
+        assert all(t.grad is not None for _, t in stack.tensors())
+
+    def test_frozen_kv_rows_get_no_gradient_work(self):
+        kv = np.stack([random_qkv(7, k=3, n=5)[1] * (b + 1) for b in range(2)])
+        trainable, leaf = param(kv), WatchedLeaf(kv)
+        grads = []
+        for kv_rows in (trainable, leaf):
+            stack = make_stack(seed=5, depth=2, heads=2, dropout_rate=0.1)
+            backward(self._loss(stack, kv_rows))
+            grads.append([t.grad for _, t in stack.tensors()])
+        # kv rows that need a gradient get one, and no parameter gradient
+        # depends on whether they do
+        assert np.any(trainable.grad != 0) and len(grads[0]) == len(grads[1]) == 38
+        for with_kv_grad, without in zip(*grads):
+            assert with_kv_grad.tobytes() == without.tobytes()
+        # frozen: no buffer, no product and no add; backward's closing zeros only
+        formed = [g for g in leaf.assigned if g is not None]
+        assert len(formed) == 1 and formed[0] is leaf.grad
+        np.testing.assert_array_equal(leaf.grad, np.zeros_like(kv))
 
 
 class TestBatchAxis:

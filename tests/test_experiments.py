@@ -1,0 +1,23 @@
+"""Checked-in experiment configs read as ``adds train --config`` reads them."""
+
+from pathlib import Path
+
+from test_acceptance import RUN_BASE
+
+from adds.cli import read_config_file
+from adds.training import TrainConfig, build_pyramid_plan, build_world
+
+EXPERIMENTS = Path(__file__).parents[1] / "experiments"
+
+
+def test_arena_is_the_a7_world_at_112_px_off_the_planting_grid():
+    arena = read_config_file(EXPERIMENTS / "arena.cfg")
+    cfg = TrainConfig(**arena)
+    assert cfg == TrainConfig(**{**RUN_BASE, "image_side": 112})
+    plan = build_pyramid_plan(cfg)
+    top = plan.levels[-1]
+    # overlapping tiles at a ceil stride of 27 px, the last pinned to the edge:
+    # not multiples of the 8 px grid the signatures are planted on
+    assert sorted({t.x for t in top.tiles}) == [0, 27, 54, 80]
+    world = build_world(cfg)
+    assert plan.row_count(1 + world.image_encoder.n_patches) == 357

@@ -289,6 +289,22 @@ class TestTrain:
         assert len(at_entry) == 2
         assert peak <= 1.25 * at_entry[1]
 
+    def test_a_step_keeps_only_what_backward_reads(self):
+        # the eval-hires benchmark's training: 240 px, 8 images, 2 steps; a
+        # graph that kept every op's value alive until backward peaked at 52.0 MB
+        cfg = TrainConfig(classes=16, n_seen=12, image_side=240, base_size=32, embed_dim=16,
+                          heads=2, ffn_hidden=16, noise_std=0.3, lr=5e-3, batch_size=8,
+                          dtype="float32", depth=6, kind="dual_modal", n_train=8, epochs=2,
+                          seed=1)
+        world = build_world(cfg)
+        tracemalloc.start()
+        try:
+            train(cfg, world=world)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 47e6
+
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
         with pytest.raises(ConfigurationError):
