@@ -99,9 +99,8 @@ def read_config_file(path) -> dict:
     return out
 
 
-def _read_manifest(path, rules: dict) -> tuple[dict, str]:
-    """(config, timestamp) of a run manifest. ``rules`` maps each key its
-    config must hold to (what the key takes, a test of its value)."""
+def _read_manifest(path) -> tuple[dict, str]:
+    """(config, timestamp) of a run manifest."""
     try:
         manifest = json.loads(_read_text(path, FormatError))
     except json.JSONDecodeError as exc:
@@ -111,12 +110,6 @@ def _read_manifest(path, rules: dict) -> tuple[dict, str]:
     config, timestamp = manifest.get("config"), manifest.get("timestamp")
     if not isinstance(config, dict) or not isinstance(timestamp, str):
         raise FormatError(f"manifest {path} needs a config object and a timestamp")
-    for key, (takes, ok) in rules.items():
-        if key not in config:
-            raise FormatError(f"manifest {path} config lacks {key}")
-        if not ok(config[key]):
-            raise FormatError(f"manifest {path}: {key} must be {takes}, "
-                              f"got {config[key]!r}")
     return config, timestamp
 
 
@@ -190,7 +183,7 @@ def cmd_plan(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
-        cfg_dict, timestamp = _read_manifest(args.manifest, {})
+        cfg_dict, timestamp = _read_manifest(args.manifest)
     else:
         cfg_dict = read_config_file(args.config) if args.config else {}
         cfg_dict.update((k, v) for k, v in vars(args).items()
@@ -217,14 +210,14 @@ def cmd_train(args) -> int:
 # eval
 
 
-# what each eval-manifest setting takes, and a test of a value (a JSON true is
-# a bool, not an int)
+# what each eval setting, from argv or a manifest, takes, and a test of a value
+# (a JSON true is a bool, not an int)
 _EVAL_SETTINGS = {
     "checkpoint": ("a string", lambda v: type(v) is str),
     "ks": ("a non-empty list of ints >= 1",
            lambda v: type(v) is list and v and all(type(k) is int and k >= 1 for k in v)),
-    "vocab": ("null or a list of strings",
-              lambda v: v is None or type(v) is list and all(type(n) is str for n in v)),
+    "vocab": ("null or a non-empty list of strings",
+              lambda v: v is None or type(v) is list and v and all(type(n) is str for n in v)),
     "n_eval": ("an int >= 1", lambda v: type(v) is int and v >= 1),
     "eval_seed": ("an int", lambda v: type(v) is int),
 }
@@ -232,27 +225,28 @@ _EVAL_SETTINGS = {
 
 def cmd_eval(args) -> int:
     if args.manifest:
-        settings, timestamp = _read_manifest(args.manifest, _EVAL_SETTINGS)
+        settings, timestamp = _read_manifest(args.manifest)
+        where = f"manifest {args.manifest}: "
     else:
         settings = {
             "checkpoint": args.checkpoint,
-            "ks": sorted(args.k) if args.k else list(F1_CUTOFFS),
-            "vocab": _read_vocab(args.vocab) if args.vocab else None,
+            "ks": sorted(set(args.k)) if args.k else list(F1_CUTOFFS),
+            "vocab": None if args.vocab is None else _read_vocab(args.vocab),
             "n_eval": N_EVAL if args.n_eval is None else args.n_eval,
             "eval_seed": EVAL_SEED if args.eval_seed is None else args.eval_seed,
         }
-        timestamp = _now()
+        timestamp, where = _now(), ""
+    for key, (takes, ok) in _EVAL_SETTINGS.items():
+        if key not in settings:
+            raise FormatError(f"{where}config lacks {key}")
+        if not ok(settings[key]):
+            raise ConfigurationError(f"{where}{key} must be {takes}, got {settings[key]!r}")
     scores, labels, vocab = evaluation_scores(
         load_checkpoint(settings["checkpoint"]),
         vocab=settings["vocab"],
         n_eval=settings["n_eval"],
         eval_seed=settings["eval_seed"],
     )
-    bad = np.argwhere(~np.isfinite(scores))
-    if len(bad):
-        image, label = bad[0]
-        raise NumericError(f"score of eval image {image} for label {vocab[label]!r} "
-                           f"is {scores[image, label]}")
     report = metrics_report(scores, labels, settings["ks"])
     out_dir = _out_dir(args.out)
     run_id = hashlib.sha256(

@@ -8,7 +8,7 @@ stops after the query path. The baseline block variant (for ablation) keeps
 only the first cross-attention path and passes keys/values through untouched.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -29,40 +29,33 @@ from .tensor import (
 LAYER_NORM_EPS = 1e-5
 
 
+class _Leaves:
+    """A dataclass of parameter tensors; ``tensors`` names them in field order."""
+
+    def tensors(self):
+        return [(f.name, getattr(self, f.name)) for f in fields(self)]
+
+
 @dataclass
-class AttentionParams:
+class AttentionParams(_Leaves):
     wq: Tensor
     wk: Tensor
     wv: Tensor
     wo: Tensor
 
-    def tensors(self):
-        return [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("wo", self.wo)]
-
 
 @dataclass
-class FeedForwardParams:
+class FeedForwardParams(_Leaves):
     w_inner: Tensor  # e -> h
     b_inner: Tensor
     w_outer: Tensor  # h -> e
     b_outer: Tensor
 
-    def tensors(self):
-        return [
-            ("w_inner", self.w_inner),
-            ("b_inner", self.b_inner),
-            ("w_outer", self.w_outer),
-            ("b_outer", self.b_outer),
-        ]
-
 
 @dataclass
-class LayerNormParams:
+class LayerNormParams(_Leaves):
     gain: Tensor
     bias: Tensor
-
-    def tensors(self):
-        return [("gain", self.gain), ("bias", self.bias)]
 
 
 # the five normalization sites of a block, in forward order
@@ -96,14 +89,11 @@ class DecoderBlockParams:
 
 
 @dataclass
-class ClassifierHead:
+class ClassifierHead(_Leaves):
     """One weight vector and bias shared across every label's query embedding."""
 
     w: Tensor  # e x 1
     b: Tensor  # 1 x 1
-
-    def tensors(self):
-        return [("w", self.w), ("b", self.b)]
 
 
 @dataclass

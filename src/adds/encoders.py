@@ -1,4 +1,4 @@
-"""Frozen toy encoders, prompt templating, and the synthetic aligned world.
+"""Frozen toy encoders, the default prompts, and the synthetic aligned world.
 
 The image encoder is the smallest thing with a ViT-like interface: a patch
 embedding, a frozen linear token-mixing step, and a CLS row formed by mean
@@ -16,21 +16,7 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError
 from .rng import SeedStreams
 
-DEFAULT_PROMPTS = ("This photo contains {}", "This is a {} photo")
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    pattern: str
-
-    def __post_init__(self):
-        if self.pattern.count("{}") != 1:
-            raise ConfigurationError(
-                f"prompt template needs exactly one placeholder: {self.pattern!r}"
-            )
-
-    def fill(self, class_name: str) -> str:
-        return self.pattern.format(class_name)
+DEFAULT_PROMPTS = ("This photo contains {}", "This is a {} photo")  # {}: the class name
 
 
 class FrozenImageEncoder:
@@ -82,7 +68,7 @@ def _row_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt([row.dot(row) for row in m])
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
+def unit_rows(m: np.ndarray) -> np.ndarray:
     """Each row of ``m`` over its norm: the bits of ``v / np.linalg.norm(v)``."""
     return m / _row_norms(m)[:, None]
 
@@ -159,23 +145,10 @@ class FrozenTextEncoder:
             if name is not None:
                 known.append(i)
                 rows.append(self.class_vectors[name])
-        v = _unit_rows(draws)
+        v = unit_rows(draws)
         if known:
             v[known] = np.array(rows) + self.jitter * v[known]
-        return _unit_rows(v)
-
-
-def embed_labels(names, templates, encoder: FrozenTextEncoder) -> np.ndarray:
-    """Per name, the average of the embeddings of every prompted form,
-    renormalized to unit norm; (k, e). All prompts go through one
-    ``encode_texts`` call."""
-    if not all(names):
-        raise ValueError("class name must be non-empty")
-    if not templates:
-        raise ConfigurationError("at least one prompt template is required")
-    texts = [t.fill(name) for name in names for t in templates]
-    vecs = encoder.encode_texts(texts).reshape(len(names), len(templates), encoder.embed_dim)
-    return _unit_rows(vecs.mean(axis=1))
+        return unit_rows(v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Batch-level label selection, the asymmetric loss, and the cosine baseline."""
+"""Batch-level label selection and the asymmetric loss."""
 
 from dataclasses import dataclass
 
@@ -123,17 +123,3 @@ def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
 
     return _node(np.full((1, 1), total * inv_n, dtype=dtype), (p,), backward)
 
-
-def cosine_baseline(image_rows, label_embeddings) -> np.ndarray:
-    """Cosine of each of n image embeddings against each of k label
-    embeddings: (n, e) and (k, e) give (n, k). The stacked products round
-    like one image's ``labels @ row`` and ``np.linalg.norm(row)`` alone."""
-    v = np.atleast_2d(np.asarray(image_rows, dtype=np.float64))
-    mat = np.atleast_2d(np.asarray(label_embeddings, dtype=np.float64))
-    vn = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    if np.any(vn == 0):
-        raise ValueError("an image embedding has zero norm")
-    norms = np.linalg.norm(mat, axis=1)
-    if np.any(norms == 0):
-        raise ValueError("a label embedding has zero norm")
-    return (mat @ v[:, :, None])[..., 0] / (norms * vn[:, None])

@@ -17,19 +17,13 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .decoder import classify, init_head, init_stack, stack_forward
-from .encoders import (
-    DEFAULT_PROMPTS,
-    MAX_CLASSES,
-    PromptTemplate,
-    embed_labels,
-    make_synthetic_world,
-)
+from .encoders import DEFAULT_PROMPTS, MAX_CLASSES, make_synthetic_world, unit_rows
 from .errors import ConfigurationError, NumericError
 from .metrics import mean_average_precision
 from .optim import AdamState, adam_step
 from .pyramid import build_plan, encode_and_stack, extract_tiles
 from .rng import SeedStreams
-from .supervision import AslConfig, asl_loss_node, cosine_baseline, select_labels
+from .supervision import AslConfig, asl_loss_node, select_labels
 from .tensor import Tensor, backward, batch_chunks
 
 
@@ -212,9 +206,13 @@ def class_indices(world, names) -> np.ndarray:
 
 
 def label_queries(world, names, dtype=np.float64) -> np.ndarray:
-    """Prompted, averaged, unit-norm text embedding per label name; k x e."""
-    templates = [PromptTemplate(p) for p in DEFAULT_PROMPTS]
-    return embed_labels(names, templates, world.text_encoder).astype(dtype)
+    """Per label name, the mean of the text embeddings of its forms in
+    ``DEFAULT_PROMPTS``, renormalized to unit norm; k x e. Every prompted
+    form goes through one ``encode_texts`` call."""
+    texts = [prompt.format(name) for name in names for prompt in DEFAULT_PROMPTS]
+    vecs = world.text_encoder.encode_texts(texts).reshape(
+        len(names), len(DEFAULT_PROMPTS), world.embed_dim)
+    return unit_rows(vecs.mean(axis=1)).astype(dtype)
 
 
 def encode_images(world, plan, images, dtype=np.float64) -> np.ndarray:
@@ -390,6 +388,14 @@ def restore_model(ckpt: Checkpoint):
     return config, world, stack, head
 
 
+def _restored_eval_set(ckpt: Checkpoint, n_eval: int, eval_seed: int):
+    """The restored model (``restore_model``), and the images and label rows
+    of its world's evaluation set (``eval_samples``)."""
+    model = restore_model(ckpt)
+    samples = eval_samples(model[1], n_eval, eval_seed)
+    return model, [img for img, _ in samples], np.stack([lab for _, lab in samples])
+
+
 def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=N_EVAL, eval_seed=EVAL_SEED):
     """Score the evaluation set (``eval_samples``) of the checkpoint's world.
 
@@ -397,22 +403,21 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=N_EVAL, eval_seed=EVA
     the seen classes of the training split; passing the full class list
     exercises the open-vocabulary path (unseen names are simply embedded).
     """
-    model = restore_model(ckpt)
+    model, images, labels = _restored_eval_set(ckpt, n_eval, eval_seed)
     config, world = model[:2]
     if vocab is None:
         vocab, _ = open_vocab_split(world.class_names, config.n_seen)
     if not vocab:
         raise ValueError("vocab names no labels")
     vocab_idx = class_indices(world, vocab)
-    samples = eval_samples(world, n_eval, eval_seed)
-    labels = np.stack([lab[vocab_idx] for _, lab in samples])
-    return _decoder_scores(model, vocab, [img for img, _ in samples]), labels, list(vocab)
+    return _decoder_scores(model, vocab, images), labels[:, vocab_idx], list(vocab)
 
 
 def _decoder_scores(model, vocab, images) -> np.ndarray:
     """Scores of a restored model, n images x |vocab|. One forward takes as
     many images as fit CHUNK_BYTES of key/value and query rows; an image's
-    scores depend on that image alone, so no chunking changes a bit of them."""
+    scores depend on that image alone, so no chunking changes a bit of them.
+    A non-finite score raises ``NumericError``, naming the first."""
     config, world, stack, head = model
     plan, dtype = build_pyramid_plan(config), config.np_dtype
     q0 = label_queries(world, vocab, dtype)
@@ -424,30 +429,39 @@ def _decoder_scores(model, vocab, images) -> np.ndarray:
         q = np.broadcast_to(q0, (len(kv), *q0.shape))
         probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
         rows.append(probs.value[..., 0])
-    return np.concatenate(rows)
+    scores = np.concatenate(rows)
+    bad = np.argwhere(~np.isfinite(scores))
+    if len(bad):
+        image, label = bad[0]
+        raise NumericError(f"score of eval image {image} for label {vocab[label]!r} "
+                           f"is {scores[image, label]}")
+    return scores
 
 
 def cosine_baseline_scores(world, images, vocab) -> np.ndarray:
-    """Decoder-free reference scores: cosine of each image's global CLS token
-    (level-0 view: the whole image resized to the encoder's base size) against
-    every prompted label embedding."""
+    """Decoder-free reference scores, n images x |vocab|: cosine of each
+    image's global CLS token (level-0 view: the whole image resized to the
+    encoder's base size) against every label query, with the bits of one
+    image's ``labels @ row / (norms * np.linalg.norm(row))`` alone."""
     plan = build_plan(world.base_size, world.image_side, selected_levels=[0])
-    return cosine_baseline(encode_images(world, plan, images)[:, 0],
-                           label_queries(world, vocab))
+    v = encode_images(world, plan, images)[:, 0]
+    labels = label_queries(world, vocab)
+    vn = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    if np.any(vn == 0):
+        raise ValueError("an image embedding has zero norm")
+    return (labels @ v[:, :, None])[..., 0] / (np.linalg.norm(labels, axis=1) * vn[:, None])
 
 
 def open_vocab_report(ckpt: Checkpoint, n_eval=N_EVAL, eval_seed=EVAL_SEED) -> dict:
     """mAP of the decoder and of the cosine baseline over the seen, the unseen
     and all classes: {"decoder": {"seen", "unseen", "all"}, "cosine": {…}}.
     Each group is a slice of the columns of one forward over every class."""
-    model = restore_model(ckpt)
+    model, images, labels = _restored_eval_set(ckpt, n_eval, eval_seed)
     config, world = model[:2]
     names = world.class_names
     seen, unseen = open_vocab_split(names, config.n_seen)
     groups = {"seen": class_indices(world, seen), "unseen": class_indices(world, unseen),
               "all": slice(None)}
-    samples = eval_samples(world, n_eval, eval_seed)
-    images, labels = [img for img, _ in samples], np.stack([lab for _, lab in samples])
     scores = {"decoder": _decoder_scores(model, names, images),
               "cosine": cosine_baseline_scores(world, images, names)}
     return {kind: {group: mean_average_precision(s[:, cols], labels[:, cols])[0]

@@ -536,7 +536,8 @@ class TestTrainEval:
         assert err.startswith("error:")
 
     @pytest.mark.parametrize("flag, value, named", [("--n-eval", "0", "n_eval"),
-                                                    ("--vocab", ",", "vocab")])
+                                                    ("--vocab", ",", "vocab"),
+                                                    ("--vocab", "", "vocab")])
     def test_empty_eval_set_or_vocab_exit_1(self, capsys, tmp_path, config_file,
                                             flag, value, named):
         run(capsys, "train", "--config", str(config_file), "--out", str(tmp_path))
@@ -545,6 +546,22 @@ class TestTrainEval:
         assert code == 1
         assert err.startswith("error:") and named in err
         assert not (tmp_path / "e" / "metrics.jsonl").exists()
+
+    def test_bad_setting_refused_before_the_checkpoint_is_read(self, capsys, tmp_path,
+                                                               monkeypatch):
+        monkeypatch.setattr("adds.cli.evaluation_scores", lambda *a, **kw: pytest.fail())
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "missing.adds"),
+                           "--k", "0", "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert err == "error: ks must be a non-empty list of ints >= 1, got [0]\n"
+        assert not (tmp_path / "e").exists()
+
+    def test_repeated_cutoff_reported_once(self, capsys, tmp_path, tiny_run):
+        code, out, _ = run(capsys, "eval", "--checkpoint", str(tiny_run["checkpoint"]),
+                           "--n-eval", "4", "--k", "3", "--k", "3", "--out", str(tmp_path))
+        assert code == 0
+        assert out.count("F1@3") == 1
+        assert json.loads((tmp_path / "run_manifest.json").read_text())["config"]["ks"] == [3]
 
     def test_out_dir_env_var(self, capsys, tmp_path, config_file, monkeypatch):
         env_dir = tmp_path / "from-env"

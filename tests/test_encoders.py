@@ -1,18 +1,18 @@
 import hashlib
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adds import training
 from adds.encoders import (
     DEFAULT_PROMPTS,
     SIGNATURE_CHUNK,
     FrozenImageEncoder,
     FrozenTextEncoder,
-    PromptTemplate,
-    embed_labels,
     make_synthetic_world,
 )
 from adds.errors import ConfigurationError, ShapeError
@@ -51,7 +51,7 @@ def fresh_generator_vector(enc, text):
 
 class RefTextEncoder:
     """One string at a time, with a set of substrings per name length for the
-    lookup: the reference for encode_texts and embed_labels."""
+    lookup: the reference for encode_texts and label_queries."""
 
     def __init__(self, enc):
         self.enc = enc
@@ -69,8 +69,8 @@ class RefTextEncoder:
         v = h if name is None else self.enc.class_vectors[name] + self.enc.jitter * h
         return v / np.linalg.norm(v)
 
-    def embed_label(self, name, templates):
-        mean = np.mean([self.encode_text(t.fill(name)) for t in templates], axis=0)
+    def embed_label(self, name, prompts):
+        mean = np.mean([self.encode_text(p.format(name)) for p in prompts], axis=0)
         return mean / np.linalg.norm(mean)
 
 
@@ -80,17 +80,25 @@ def same_bits(a, b):
 
 
 class TestPromptTemplate:
-    def test_fill(self):
-        assert PromptTemplate("a photo of {}").fill("cat") == "a photo of cat"
+    """The prompt templates, DEFAULT_PROMPTS, as label_queries fills them."""
 
-    def test_placeholder_count_enforced(self):
-        for bad in ("no slot", "{} and {}"):
-            with pytest.raises(ConfigurationError):
-                PromptTemplate(bad)
+    def test_fill(self, world16, monkeypatch):
+        calls = []
+        encode_texts = world16.text_encoder.encode_texts
+
+        def spy(texts):
+            calls.append(list(texts))
+            return encode_texts(texts)
+
+        monkeypatch.setattr(world16.text_encoder, "encode_texts", spy)
+        label_queries(world16, ["kipa", "baba"])
+        assert calls == [["This photo contains kipa", "This is a kipa photo",
+                          "This photo contains baba", "This is a baba photo"]]
 
     def test_defaults_are_valid(self):
+        assert DEFAULT_PROMPTS
         for p in DEFAULT_PROMPTS:
-            PromptTemplate(p)
+            assert p.count("{}") == 1, p
 
 
 class TestFrozenImageEncoder:
@@ -240,35 +248,29 @@ class TestFrozenTextEncoder:
 
 
 class TestEmbedLabel:
+    """label_queries: one unit row per label name, the mean of its prompted forms."""
+
     def test_unit_norm_and_near_class(self):
         g = SeedStreams(9).stream("vecs")
         v = g.standard_normal(8)
         enc = FrozenTextEncoder(8, {"kipa": v / np.linalg.norm(v)})
-        templates = [PromptTemplate(p) for p in DEFAULT_PROMPTS]
-        out = embed_labels(["kipa"], templates, enc)[0]
+        out = label_queries(SimpleNamespace(text_encoder=enc, embed_dim=8), ["kipa"])[0]
         assert abs(np.linalg.norm(out) - 1.0) < 1e-12
         assert out @ enc.class_vectors["kipa"] > 0.99
 
-    def test_validation(self):
-        enc = FrozenTextEncoder(4, {})
-        with pytest.raises(ValueError):
-            embed_labels([""], [PromptTemplate("{}")], enc)
-        with pytest.raises(ValueError):
-            embed_labels(["x", ""], [PromptTemplate("{}")], enc)
-        with pytest.raises(ConfigurationError):
-            embed_labels(["x"], [], enc)
-
     @pytest.mark.parametrize("n_templates", [1, 2, 3])
-    def test_embed_labels_equals_per_label_reference(self, world16, n_templates):
-        templates = [PromptTemplate(p) for p in
-                     (*DEFAULT_PROMPTS, "a {} in a noisy image")[:n_templates]]
-        enc, ref = world16.text_encoder, RefTextEncoder(world16.text_encoder)
+    def test_embed_labels_equals_per_label_reference(self, world16, monkeypatch,
+                                                     n_templates):
+        prompts = (*DEFAULT_PROMPTS, "a {} in a noisy image")[:n_templates]
+        monkeypatch.setattr(training, "DEFAULT_PROMPTS", prompts)
+        ref = RefTextEncoder(world16.text_encoder)
         known = world16.class_names
         # an unknown label, two names in one label, a name inside a longer word
         names = [*known, "zz", f"{known[5]} {known[2]}", f"x{known[7]}x"]
-        out = embed_labels(names, templates, enc)
-        assert same_bits(out, np.stack([ref.embed_label(n, templates) for n in names]))
-        assert same_bits(embed_labels([names[3]], templates, enc)[0], out[3])
+        out = label_queries(world16, names)
+        assert same_bits(out, np.stack([ref.embed_label(n, prompts) for n in names]))
+        assert same_bits(label_queries(world16, [names[3]])[0], out[3])
+        assert label_queries(world16, []).shape == (0, world16.embed_dim)
 
 
 @pytest.fixture(scope="module")
@@ -297,9 +299,8 @@ class TestVocabularyPath:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_label_queries_equal_per_label_reference(self, worlds, k, dtype):
         world = worlds(k)
-        templates = [PromptTemplate(p) for p in DEFAULT_PROMPTS]
         ref = RefTextEncoder(world.text_encoder)
-        expect = np.stack([ref.embed_label(n, templates)
+        expect = np.stack([ref.embed_label(n, DEFAULT_PROMPTS)
                            for n in world.class_names]).astype(dtype)
         assert same_bits(label_queries(world, world.class_names, dtype), expect)
 

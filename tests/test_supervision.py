@@ -10,7 +10,6 @@ from adds.supervision import (
     AslConfig,
     asl_loss,
     asl_loss_node,
-    cosine_baseline,
     select_labels,
 )
 from adds.tensor import backward, param
@@ -178,25 +177,3 @@ class TestSelectLabels:
         sel = select_labels(labels, alpha=1e308, stream=rng(5))
         np.testing.assert_array_equal(sel.selected, np.arange(8))
 
-
-class TestCosineBaseline:
-    def test_orthogonal_and_parallel(self):
-        v = np.array([[1.0, 0.0, 0.0], [0.0, -2.0, 0.0]])
-        mat = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [-1.0, 0.0, 0.0]])
-        np.testing.assert_allclose(cosine_baseline(v, mat),
-                                   [[1.0, 0.0, -1.0], [0.0, -1.0, 0.0]], atol=1e-12)
-
-    def test_scale_invariance(self):
-        g = rng(5)
-        v = g.standard_normal((3, 8))
-        mat = g.standard_normal((4, 8))
-        s1 = cosine_baseline(v, mat)
-        s2 = cosine_baseline(10.0 * v, 0.1 * mat)
-        assert s1.shape == (3, 4)
-        np.testing.assert_allclose(s1, s2, atol=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(ValueError, match="image"):
-            cosine_baseline(np.array([[1.0, 0, 0], [0, 0, 0]]), np.eye(3))
-        with pytest.raises(ValueError, match="label"):
-            cosine_baseline(np.ones((2, 3)), np.zeros((2, 3)))

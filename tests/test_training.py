@@ -371,6 +371,14 @@ class TestEvaluation:
         assert scores.shape == (6, 8)
         assert np.all(np.abs(scores) <= 1.0 + 1e-12)
 
+    def test_cosine_baseline_zero_norm_image_rejected(self, monkeypatch):
+        world = build_world(tiny_config())
+        images = [img for img, _ in eval_samples(world, 3, 7)]
+        monkeypatch.setattr(training, "encode_images",
+                            lambda world, plan, images: np.zeros((len(images), 1, 8)))
+        with pytest.raises(ValueError, match="an image embedding has zero norm"):
+            cosine_baseline_scores(world, images, world.class_names)
+
     def test_scores_are_pinned(self):
         # SHA-256 of the score bytes of the engine that encoded one tile per
         # call. At 96 px with base 40 the bottom level's three tiles per axis
@@ -395,6 +403,15 @@ class TestEvaluation:
             kind: {g: mean_average_precision(s[:, c], labels[:, c])[0]
                    for g, c in groups.items()}
             for kind, s in (("decoder", scores), ("cosine", cosine))}
+
+    def test_open_vocab_report_non_finite_score_named(self, ckpt):
+        # a finite weight whose products overflow makes every decoder score NaN
+        wq = np.full_like(ckpt.weights["decoder.block0.attn_text.wq"], np.finfo(np.float32).max)
+        huge = dataclasses.replace(
+            ckpt, weights={**ckpt.weights, "decoder.block0.attn_text.wq": wq})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericError, match=r"^score of eval image 0 for label 'baba' is nan$"):
+            open_vocab_report(huge, n_eval=4)
 
     @pytest.mark.parametrize("weight, error", [
         (np.zeros((8, 16), np.float32), r"has shape \(8, 16\), model \(8, 8\)"),
