@@ -214,8 +214,9 @@ def cmd_train(args) -> int:
 # (a JSON true is a bool, not an int)
 _EVAL_SETTINGS = {
     "checkpoint": ("a string", lambda v: type(v) is str),
-    "ks": ("a non-empty list of ints >= 1",
-           lambda v: type(v) is list and v and all(type(k) is int and k >= 1 for k in v)),
+    "ks": ("a non-empty list of distinct ints >= 1",
+           lambda v: type(v) is list and v and all(type(k) is int and k >= 1 for k in v)
+           and len(set(v)) == len(v)),
     "vocab": ("null or a non-empty list of strings",
               lambda v: v is None or type(v) is list and v and all(type(n) is str for n in v)),
     "n_eval": ("an int >= 1", lambda v: type(v) is int and v >= 1),

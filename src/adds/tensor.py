@@ -121,16 +121,30 @@ def _column_sum(g: np.ndarray) -> np.ndarray:
 
 
 def _pairwise_sum(x: np.ndarray, axis: int = -2) -> np.ndarray:
-    """Sums along ``axis`` (-1 or -2), kept as an axis; along -2 in the order
+    """Sums along ``axis`` (-1 or -2), kept as an axis, in the order
     ``add.reduce`` takes along a contiguous last axis (numpy's pairwise sum),
-    so the bits agree, bar which of two unlike NaNs survives."""
+    so the bits agree, bar which of two unlike NaNs survives. A stack of many
+    short rows is summed from 1-D column views; other rows by ``add.reduce``."""
+    n = x.shape[axis]
     if axis == -1:
-        return np.add.reduce(x, axis=-1, keepdims=True)
-    n = x.shape[-2]
+        # add.reduce pays ~25 ns a row, a column view ~0.5 ns an element. Timed
+        # over 4-136 columns and 512-16,384 rows, both dtypes: columns win up to
+        # 16 wide from 2,048 rows, until 16 passes over a stack past 1 MiB
+        # outgrow the core's 2 MiB L2 (float64 loses there); 32 wide they lose
+        if not (0 < n <= 16 and x.size >= 2048 * n and x.nbytes <= 1 << 20):
+            return np.add.reduce(x, axis=-1, keepdims=True)
+        cols, tree = [x[..., j] for j in range(n)], n - n % 8
+        acc = np.zeros_like(cols[0])
+        if tree:  # column j feeds accumulator j % 8, then the 8 are paired
+            r = [sum(cols[j + 8:tree:8], cols[j]) for j in range(8)]
+            acc += ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for c in cols[tree:]:
+            acc += c
+        return acc[..., None]
     if n > 128:
         half = n // 2 - n // 2 % 8
         return _pairwise_sum(x[..., :half, :]) + _pairwise_sum(x[..., half:, :])
-    acc, tree = np.zeros_like(x[..., :1, :]), 0 if n < 8 else n - n % 8
+    acc, tree = np.zeros_like(x[..., :1, :]), n - n % 8
     if tree:  # 8 accumulators, then paired
         r = sum((x[..., i:i + 8, :] for i in range(8, tree, 8)), x[..., :8, :])
         while r.shape[-2] > 1:  # adjacent pairs: 8 -> 4 -> 2 -> 1
@@ -210,8 +224,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm: x {x.value.shape}, gain {gain.value.shape}, bias {bias.value.shape}"
         )
     # the centered rows, normalized in place once their variance is known
-    y0 = x.value - np.add.reduce(x.value, axis=-1, keepdims=True) / cols
-    var = np.add.reduce(y0 * y0, axis=-1, keepdims=True) / cols
+    y0 = x.value - _pairwise_sum(x.value, -1) / cols
+    var = _pairwise_sum(y0 * y0, -1) / cols
     inv_std = 1.0 / np.sqrt(var + x.value.dtype.type(eps))
     y0 *= inv_std
     gv = gain.value
@@ -225,8 +239,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             bias.grad += _column_sum(g)
         if x is not None:
             dy0 = g * gv
-            m1 = np.add.reduce(dy0, axis=-1, keepdims=True) / cols
-            m2 = np.add.reduce(dy0 * y0, axis=-1, keepdims=True) / cols
+            m1 = _pairwise_sum(dy0, -1) / cols
+            m2 = _pairwise_sum(dy0 * y0, -1) / cols
             # (dy0 - m1 - y0 * m2) * inv_std in place; y0 is read no more
             dy0 -= m1
             dy0 -= np.multiply(y0, m2, out=y0)

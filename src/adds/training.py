@@ -417,7 +417,8 @@ def _decoder_scores(model, vocab, images) -> np.ndarray:
     """Scores of a restored model, n images x |vocab|. One forward takes as
     many images as fit CHUNK_BYTES of key/value and query rows; an image's
     scores depend on that image alone, so no chunking changes a bit of them.
-    A non-finite score raises ``NumericError``, naming the first."""
+    A non-finite score raises ``NumericError``, naming the first; numpy's
+    overflow and invalid-value warnings on the way to it are silenced."""
     config, world, stack, head = model
     plan, dtype = build_pyramid_plan(config), config.np_dtype
     q0 = label_queries(world, vocab, dtype)
@@ -427,7 +428,8 @@ def _decoder_scores(model, vocab, images) -> np.ndarray:
     for c in batch_chunks(len(images), image_bytes):
         kv = encode_images(world, plan, images[c], dtype)
         q = np.broadcast_to(q0, (len(kv), *q0.shape))
-        probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
         rows.append(probs.value[..., 0])
     scores = np.concatenate(rows)
     bad = np.argwhere(~np.isfinite(scores))

@@ -439,7 +439,8 @@ class TestTrainEval:
                                             ("ks", [True]), ("n_eval", "4"),
                                             ("n_eval", 4.5), ("n_eval", True),
                                             ("checkpoint", 0), ("vocab", "a,b"),
-                                            ("vocab", [1]), ("eval_seed", 1.0)])
+                                            ("vocab", [1]), ("eval_seed", 1.0),
+                                            ("ks", [3, 5, 3])])
     def test_bad_eval_manifest_setting_exit_1(self, capsys, tmp_path, tiny_run, key,
                                               value):
         manifest = json.loads(tiny_run["eval_manifest"].read_text())
@@ -553,7 +554,7 @@ class TestTrainEval:
         code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "missing.adds"),
                            "--k", "0", "--out", str(tmp_path / "e"))
         assert code == 1
-        assert err == "error: ks must be a non-empty list of ints >= 1, got [0]\n"
+        assert err == "error: ks must be a non-empty list of distinct ints >= 1, got [0]\n"
         assert not (tmp_path / "e").exists()
 
     def test_repeated_cutoff_reported_once(self, capsys, tmp_path, tiny_run):

@@ -147,6 +147,35 @@ def test_pairwise_sum_adds_in_numpys_last_axis_order(x):
     assert got.shape == (2, 1, 6) and got.tobytes() == expect[:, None, :].tobytes()
 
 
+@st.composite
+def summed_rows(draw, n):
+    """Stacks of n-wide rows summed along the last axis, with row counts on
+    both sides of the column-view rule (2,048 rows, 1 MiB): one row of -0.0,
+    one with infinities, one with NaNs, the rest finite over 8 decades."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    cap = (1 << 20) // (n * np.dtype(dtype).itemsize)  # rows in 1 MiB
+    rows = draw(st.sampled_from([draw(st.integers(3, 40)), 2047, 2048, 2050, cap, cap + 2]))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = g.standard_normal((rows, n)) * 10.0 ** g.uniform(-4, 4, (rows, n))
+    x[0] = -0.0
+    x[1, g.integers(n, size=2)] = [np.inf, -np.inf]
+    x[2, g.integers(n, size=draw(st.integers(1, 3)))] = np.nan
+    if rows % 2 == 0 and draw(st.booleans()):  # a stack of two images
+        x = x.reshape(2, rows // 2, n)
+    return x.astype(dtype)
+
+
+@pytest.mark.parametrize("n", [*range(1, 21), 127, 128, 129])
+@given(data=st.data())
+@settings(max_examples=16, deadline=None, derandomize=True)
+def test_pairwise_sum_of_rows_is_add_reduce(n, data):
+    x = data.draw(summed_rows(n))
+    with np.errstate(invalid="ignore"):
+        expect = np.add.reduce(x, axis=-1, keepdims=True)
+        got = tensor._pairwise_sum(x, -1)
+    assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
 class TestLayerNorm:
     def _unit_affine(self, e):
         return Tensor(np.ones((1, e))), Tensor(np.zeros((1, e)))
@@ -404,6 +433,47 @@ def test_visual_branch_node_is_pinned(monkeypatch, shape, dtype):
              **{n: t.grad for n, t in p.tensors()}}
     digests = {n: hashlib.sha256(a.tobytes()).hexdigest()[:16] for n, a in named.items()}
     assert digests == VISUAL_BRANCH_DIGESTS[shape, dtype]
+
+
+# sha-256 (first 16 hex digits) of the layer norm node's value and of each
+# gradient after one backward, at (images, rows, 16): 5 x 1,445 kv rows as at
+# 240 px, 11 x 600 label rows as vocab-600 evaluates and 8 x 85 as a7 trains.
+# The first two sum their rows from column views, the last by add.reduce;
+# recorded when all three took add.reduce.
+LAYER_NORM_DIGESTS = {
+    ((5, 1445, 16), "float32"): {
+        "out": "2da24bd085165530", "x": "5822fd76ba02df2f", "gain": "6efbd658df79b6bc",
+        "bias": "4929b6b4279ecafe"},
+    ((5, 1445, 16), "float64"): {
+        "out": "2ad809aedfc88a94", "x": "754db44632990ed8", "gain": "19f45c9cffa81174",
+        "bias": "b47d47717bea926e"},
+    ((11, 600, 16), "float32"): {
+        "out": "bc1964f63dd5d84f", "x": "fc804ad26a66e495", "gain": "5e862bb0d50435db",
+        "bias": "5b350b7fe08fa904"},
+    ((11, 600, 16), "float64"): {
+        "out": "7be8d7b93373d125", "x": "7040b1779a314aeb", "gain": "1d4f41f69dee78c0",
+        "bias": "af6d2b26e8165c62"},
+    ((8, 85, 16), "float32"): {
+        "out": "cf83a99a22697f1b", "x": "b30091953f39da36", "gain": "44eea9e028d34cee",
+        "bias": "20e42ac88fe8f647"},
+    ((8, 85, 16), "float64"): {
+        "out": "c379bdefcaa379fb", "x": "32e6e0f06af3f5d2", "gain": "95aacca2a149a974",
+        "bias": "c99307670b224a4b"},
+}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", [(5, 1445, 16), (11, 600, 16), (8, 85, 16)])
+def test_layer_norm_node_is_pinned(shape, dtype):
+    g = rng()
+    x = param((g.standard_normal(shape) * 2 + 1).astype(dtype))
+    gain, bias = (param(g.standard_normal((1, shape[-1])).astype(dtype)) for _ in range(2))
+    weight = Tensor(g.standard_normal(shape).astype(dtype))
+    out = layer_norm(x, gain, bias)
+    backward(mean_all(mul(out, weight)))
+    named = {"out": out.value, "x": x.grad, "gain": gain.grad, "bias": bias.grad}
+    digests = {n: hashlib.sha256(a.tobytes()).hexdigest()[:16] for n, a in named.items()}
+    assert digests == LAYER_NORM_DIGESTS[shape, dtype]
 
 
 class TestBatchAxisGradients:

@@ -404,13 +404,14 @@ class TestEvaluation:
                    for g, c in groups.items()}
             for kind, s in (("decoder", scores), ("cosine", cosine))}
 
+    @pytest.mark.filterwarnings("error")
     def test_open_vocab_report_non_finite_score_named(self, ckpt):
-        # a finite weight whose products overflow makes every decoder score NaN
+        # a finite weight whose products overflow makes every decoder score NaN;
+        # a library caller sees the error alone, no numpy warning ahead of it
         wq = np.full_like(ckpt.weights["decoder.block0.attn_text.wq"], np.finfo(np.float32).max)
         huge = dataclasses.replace(
             ckpt, weights={**ckpt.weights, "decoder.block0.attn_text.wq": wq})
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-                NumericError, match=r"^score of eval image 0 for label 'baba' is nan$"):
+        with pytest.raises(NumericError, match=r"^score of eval image 0 for label 'baba' is nan$"):
             open_vocab_report(huge, n_eval=4)
 
     @pytest.mark.parametrize("weight, error", [
