@@ -4,8 +4,8 @@ Library layout:
 
 - ``tensor`` / ``optim`` / ``rng``: dense 2-D tensors with reverse-mode
   gradients, Adam, finite-difference checking, labeled random streams.
-- ``decoder``: dual-modal decoder blocks, the baseline ablation block, the
-  stacked decoder, and the shared per-class head.
+- ``decoder``: one block forward for the dual-modal and the baseline
+  (ablation) block, the stacked decoder, and the shared per-class head.
 - ``pyramid``: multi-level tile plans, bilinear resize, tile extraction,
   token stacking, and the compute-cost report.
 - ``encoders``: frozen toy image/text towers, the default prompts, and the

@@ -12,9 +12,9 @@ Layout (all integers little-endian):
     per blob: u16 name length, UTF-8 name, u32 rows, u32 cols, rows*cols
               values LE
 
-Version 2 stores the values in the config's ``dtype`` (float32 or float64),
-so a float64 run resumes from a file bit-exactly; version 1 always stored
-float32 and still loads. Weight tensors are stored under their parameter
+The values are stored in the config's ``dtype`` (float32 or float64), so a
+float64 run resumes from a file bit-exactly; version 1, which always stored
+float32, is no longer read. Weight tensors are stored under their parameter
 names, then the Adam moments under "opt.m.<name>" and "opt.v.<name>" in the
 same order. Save -> load -> save is byte-identical; anything else raises
 ``FormatError``. A save replaces the file whole (``atomic_open``).
@@ -126,7 +126,7 @@ def _parse_checkpoint(data: bytes) -> Checkpoint:
     if r.take(8, "magic") != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic, expected {CHECKPOINT_MAGIC!r}")
     version = r.u32("version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise FormatError(
             f"unsupported checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
@@ -135,7 +135,7 @@ def _parse_checkpoint(data: bytes) -> Checkpoint:
     if hashlib.sha256(config_json).digest() != stored_hash:
         raise FormatError("config hash mismatch")
     config = _canonical_json(config_json, "config")
-    dtype = "<f4" if version == 1 else _blob_dtype(config)
+    dtype = _blob_dtype(config)
     meta = _canonical_json(r.take(r.u32("meta length"), "meta"), "meta")
     if not isinstance(meta, dict) or sorted(meta) != list(_META_KEYS):
         raise FormatError(f"checkpoint meta must hold exactly the keys {_META_KEYS}")

@@ -217,8 +217,9 @@ _EVAL_SETTINGS = {
     "ks": ("a non-empty list of distinct ints >= 1",
            lambda v: type(v) is list and v and all(type(k) is int and k >= 1 for k in v)
            and len(set(v)) == len(v)),
-    "vocab": ("null or a non-empty list of strings",
-              lambda v: v is None or type(v) is list and v and all(type(n) is str for n in v)),
+    "vocab": ("null or a non-empty list of distinct strings",
+              lambda v: v is None or type(v) is list and v and all(type(n) is str for n in v)
+              and len(set(v)) == len(v)),
     "n_eval": ("an int >= 1", lambda v: type(v) is int and v >= 1),
     "eval_seed": ("an int", lambda v: type(v) is int),
 }

@@ -4,8 +4,9 @@ Each dual-modal block runs the usual text-queries-image cross-attention and
 feed-forward path, then a second cross-attention in which the visual tokens
 query the text-refined summary; the refreshed visual tokens become the
 key/value input of the next block. The last block has no next block, so it
-stops after the query path. The baseline block variant (for ablation) keeps
-only the first cross-attention path and passes keys/values through untouched.
+stops after the query path. The baseline block (for ablation) is the same
+block without its visual branch and final query norm: keys/values pass
+through untouched. ``DecoderStack.sites`` states which sites block i runs.
 """
 
 from dataclasses import dataclass, field, fields
@@ -103,10 +104,12 @@ class DecoderStack:
     embed_dim: int
     heads: int
 
-    def runs_visual_branch(self, i: int) -> bool:
-        """Block i's visual branch makes the keys/values of block i + 1, so
-        only a dual-modal block that has a next block runs it."""
-        return self.kind == "dual_modal" and i < len(self.blocks) - 1
+    def sites(self, i: int) -> dict:
+        """The optional sites block i runs. Its visual branch makes the
+        keys/values of block i + 1, so only a dual-modal block that has a
+        next block runs it; every dual-modal block runs its query output norm."""
+        dual = self.kind == "dual_modal"
+        return {"visual": dual and i < len(self.blocks) - 1, "q_out": dual}
 
     def tensors(self):
         """Named tensors that ``stack_forward`` reads, block by block.
@@ -117,8 +120,7 @@ class DecoderStack:
         """
         out = []
         for i, blk in enumerate(self.blocks):
-            live = blk.tensors(visual=self.runs_visual_branch(i),
-                               q_out=self.kind == "dual_modal")
+            live = blk.tensors(**self.sites(i))
             out.extend((f"block{i}.{n}", t) for n, t in live)
         return out
 
@@ -203,9 +205,14 @@ def _norm(x: Tensor, p: LayerNormParams) -> Tensor:
     return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS)
 
 
-def _query_path(q, k, v, params, heads, noise):
-    """The shared first half of both block kinds: pre-norm, cross-attention,
-    feed-forward, each with residual add-and-norm. Returns the refined summary."""
+def dm_block_forward(q, k, v, params, heads, noise=None, visual=True, q_out=True):
+    """One block. Returns (q_out, k_out, v_out); k_out is v_out.
+
+    ``noise`` is the pair of dropout draws for the block's two dropout sites,
+    or None for no dropout (inference). ``q_out`` adds the block input back
+    and norms; ``visual`` runs the visual branch, else k, v pass through. A
+    baseline block runs neither (see ``DecoderStack.sites``).
+    """
     dp = params.dropout_rate
     ln = params.norms
     u_pre, u_ffn = (None, None) if noise is None else noise
@@ -213,31 +220,14 @@ def _query_path(q, k, v, params, heads, noise):
     q2 = multi_head_attention(q1, k, v, params.attn_text, heads)
     q3 = _norm(add(q2, q1), ln["q_attn"])
     q4 = dropout(feed_forward(q3, params.ffn), dp, u_ffn)
-    return _norm(add(q4, q3), ln["q_ffn"])
-
-
-def dm_block_forward(q, k, v, params, heads, noise=None, refresh_kv=True):
-    """One dual-modal block. Returns (q_out, k_out, v_out); k_out is v_out.
-
-    ``noise`` is the pair of dropout draws for the block's two dropout sites,
-    or None for no dropout (inference). With ``refresh_kv=False`` the visual
-    branch is skipped and k, v pass through: the last block's refreshed
-    keys/values would feed nothing.
-    """
-    ln = params.norms
-    q5 = _query_path(q, k, v, params, heads, noise)
-    q_out = _norm(add(q5, q), ln["q_out"])
-    if not refresh_kv:
-        return q_out, k, v
+    q5 = _norm(add(q4, q3), ln["q_ffn"])
+    # built before the visual branch: backward's adds into q5 follow this order
+    q6 = _norm(add(q5, q), ln["q_out"]) if q_out else q5
+    if not visual:
+        return q6, k, v
     v1 = multi_head_attention(v, q5, q5, params.attn_visual, heads)
     v_out = _norm(add(v1, v), ln["v_out"])
-    return q_out, v_out, v_out
-
-
-def baseline_block_forward(q, k, v, params, heads, noise=None):
-    """Single-direction block: query path only, keys/values pass through."""
-    q5 = _query_path(q, k, v, params, heads, noise)
-    return q5, k, v
+    return q6, v_out, v_out
 
 
 def stack_forward(q0: Tensor, kv0: Tensor, stack: DecoderStack,
@@ -262,11 +252,7 @@ def stack_forward(q0: Tensor, kv0: Tensor, stack: DecoderStack,
     q, k, v = q0, kv0, kv0
     for i, blk in enumerate(stack.blocks):
         noise = (next(draws), next(draws)) if dropping[i] else None
-        if stack.kind == "dual_modal":
-            q, k, v = dm_block_forward(q, k, v, blk, stack.heads, noise,
-                                       refresh_kv=stack.runs_visual_branch(i))
-        else:
-            q, k, v = baseline_block_forward(q, k, v, blk, stack.heads, noise)
+        q, k, v = dm_block_forward(q, k, v, blk, stack.heads, noise, **stack.sites(i))
     return q
 
 

@@ -17,6 +17,8 @@ from .errors import ConfigurationError, ShapeError
 from .rng import SeedStreams
 
 DEFAULT_PROMPTS = ("This photo contains {}", "This is a {} photo")  # {}: the class name
+JITTER = 0.05  # weight of a known class name's template-dependent perturbation
+MAX_PLANTED = 5  # most classes planted in one synthetic image
 
 
 class FrozenImageEncoder:
@@ -82,12 +84,11 @@ class FrozenTextEncoder:
     """
 
     def __init__(self, embed_dim, class_vectors: dict[str, np.ndarray],
-                 seed: int = 0, jitter: float = 0.05):
+                 seed: int = 0):
         self.embed_dim = embed_dim
         self.class_vectors = {k: np.asarray(v, dtype=np.float64)
                               for k, v in class_vectors.items()}
         self.seed = seed
-        self.jitter = jitter
         self._rank = {name: i for i, name in enumerate(self.class_vectors)}
         self._names = list(self.class_vectors)
         self._lengths = sorted({len(name) for name in self.class_vectors}, reverse=True)
@@ -147,7 +148,7 @@ class FrozenTextEncoder:
                 rows.append(self.class_vectors[name])
         v = unit_rows(draws)
         if known:
-            v[known] = np.array(rows) + self.jitter * v[known]
+            v[known] = np.array(rows) + JITTER * v[known]
         return unit_rows(v)
 
 
@@ -180,22 +181,16 @@ class SyntheticWorld:
     base_size: int
     patch_size: int
     embed_dim: int
-    seed: int
     noise_std: float
     image_encoder: FrozenImageEncoder
     text_encoder: FrozenTextEncoder
-    max_planted: int = 5
     _cells: list = field(default_factory=list)
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.class_names)
-
     def sample(self, stream, class_subset=None):
-        """One (image, binary label vector) pair with 1..max_planted classes."""
-        k = self.num_classes
+        """One (image, binary label vector) pair with 1..MAX_PLANTED classes."""
+        k = len(self.class_names)
         pool = np.arange(k) if class_subset is None else np.asarray(class_subset)
-        n_pos = int(stream.integers(1, min(self.max_planted, len(pool)) + 1))
+        n_pos = int(stream.integers(1, min(MAX_PLANTED, len(pool)) + 1))
         chosen = stream.choice(pool, size=n_pos, replace=False)
         cell_ids = stream.choice(len(self._cells), size=n_pos, replace=False)
         img = self.noise_std * stream.standard_normal((self.image_side, self.image_side))
@@ -219,7 +214,6 @@ def make_synthetic_world(
     seed: int,
     patch_size: int = 8,
     noise_std: float = 0.05,
-    max_planted: int = 5,
 ) -> SyntheticWorld:
     if k < 2:
         raise ConfigurationError(f"need at least 2 classes, got {k}")
@@ -243,11 +237,9 @@ def make_synthetic_world(
         base_size=base_size,
         patch_size=patch_size,
         embed_dim=embed_dim,
-        seed=seed,
         noise_std=noise_std,
         image_encoder=encoder,
         text_encoder=None,  # filled below
-        max_planted=max_planted,
         _cells=[
             (y, x)
             for y in range(0, image_side, patch_size)

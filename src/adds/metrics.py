@@ -1,6 +1,6 @@
-"""Multi-label ranking metrics: per-class average precision, mAP, and F1@k."""
+"""Multi-label ranking metrics: mAP over per-class average precision, and F1@k."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,8 +11,6 @@ F1_CUTOFFS = (3, 5)  # the F1@k a report gives unless asked for others
 class MetricsReport:
     map: float
     f1_at: dict  # k -> F1 score
-    per_class_ap: dict  # class index -> AP (classes with >= 1 positive)
-    skipped_classes: list  # classes with no positive, excluded from mAP
     n_samples: int
 
 
@@ -30,14 +28,6 @@ def _rank(scores: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Labels reordered by descending score along axis 0; ties keep sample order."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), axis=0, kind="stable")
     return np.take_along_axis(np.asarray(labels), order, axis=0)
-
-
-def average_precision(scores: np.ndarray, labels: np.ndarray) -> float:
-    """AP of one class: mean precision at the rank of each positive.
-
-    Ranking is by descending score; ties break by ascending sample index.
-    """
-    return _precision_at_positives(_rank(scores, labels))
 
 
 def mean_average_precision(scores: np.ndarray, labels: np.ndarray):
@@ -92,11 +82,8 @@ def f1_at_k(scores: np.ndarray, labels: np.ndarray, k: int) -> float:
 def metrics_report(scores, labels, ks=F1_CUTOFFS) -> MetricsReport:
     scores = np.atleast_2d(scores)
     labels = np.atleast_2d(labels)
-    mAP, per_class, skipped = mean_average_precision(scores, labels)
     return MetricsReport(
-        map=mAP,
+        map=mean_average_precision(scores, labels)[0],
         f1_at={k: f1_at_k(scores, labels, k) for k in ks},
-        per_class_ap=per_class,
-        skipped_classes=skipped,
         n_samples=scores.shape[0],
     )

@@ -19,7 +19,6 @@ from .errors import ConfigurationError, ShapeError
 
 @dataclass(frozen=True)
 class TileRect:
-    level: int
     x: int  # column offset in the level's resized image
     y: int  # row offset
     side: int
@@ -97,7 +96,7 @@ def build_plan(
         resized = min(base_size * 2**i, target_side)
         xs = _tile_offsets(resized, base_size, n_i)
         tiles = [
-            TileRect(level=i, x=x, y=y, side=base_size) for y in xs for x in xs
+            TileRect(x=x, y=y, side=base_size) for y in xs for x in xs
         ]
         if n_i > 1 and resized < n_i * base_size:
             overlap = base_size - (xs[1] - xs[0])

@@ -51,8 +51,6 @@ def _jsonify(obj):
         return {k: _jsonify(v) for k, v in obj.items()}
     if isinstance(obj, np.ndarray):
         return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
     return obj
 
 

@@ -28,7 +28,6 @@ class LabelSelection:
     selected: np.ndarray  # sorted indices of S' = positives + sampled negatives
     positives: np.ndarray
     sampled_negatives: np.ndarray
-    alpha: float
 
 
 def select_labels(batch_labels, alpha: float, stream) -> LabelSelection:
@@ -50,7 +49,6 @@ def select_labels(batch_labels, alpha: float, stream) -> LabelSelection:
         selected=selected,
         positives=positives.astype(int),
         sampled_negatives=sampled.astype(int),
-        alpha=alpha,
     )
 
 

@@ -68,9 +68,6 @@ class Tensor:
     def shape(self):
         return self.value.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.value.shape}, trainable={self.trainable})"
-
 
 def param(value, trainable=True) -> Tensor:
     return Tensor(np.array(value), trainable=trainable)

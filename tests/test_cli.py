@@ -557,6 +557,27 @@ class TestTrainEval:
         assert err == "error: ks must be a non-empty list of distinct ints >= 1, got [0]\n"
         assert not (tmp_path / "e").exists()
 
+    @pytest.mark.parametrize("source", ["argv", "manifest"])
+    def test_repeated_vocab_label_refused_before_the_checkpoint_is_read(
+            self, capsys, tmp_path, monkeypatch, source):
+        # a repeated label would be scored, and counted in mAP and F1, twice
+        monkeypatch.setattr("adds.cli.load_checkpoint", lambda *a, **kw: pytest.fail())
+        ckpt = str(tmp_path / "missing.adds")
+        argv, where = ["--checkpoint", ckpt, "--vocab", "baba,baba,bada"], ""
+        if source == "manifest":
+            path = tmp_path / "manifest.json"
+            path.write_text(json.dumps({
+                "config": {"checkpoint": ckpt, "ks": [3], "vocab": ["baba", "baba", "bada"],
+                           "n_eval": 4, "eval_seed": 1},
+                "timestamp": "2000-01-01T00:00:00Z",
+            }))
+            argv, where = ["--manifest", str(path)], f"manifest {path}: "
+        code, _, err = run(capsys, "eval", *argv, "--out", str(tmp_path / "e"))
+        assert code == 1
+        assert err == (f"error: {where}vocab must be null or a non-empty list of distinct "
+                       "strings, got ['baba', 'baba', 'bada']\n")
+        assert not (tmp_path / "e").exists()
+
     def test_repeated_cutoff_reported_once(self, capsys, tmp_path, tiny_run):
         code, out, _ = run(capsys, "eval", "--checkpoint", str(tiny_run["checkpoint"]),
                            "--n-eval", "4", "--k", "3", "--k", "3", "--out", str(tmp_path))

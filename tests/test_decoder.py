@@ -8,7 +8,6 @@ from reference import ref_dm_block
 from adds import decoder, training
 from adds.decoder import (
     NORM_SITES,
-    baseline_block_forward,
     classify,
     dm_block_forward,
     init_head,
@@ -84,8 +83,8 @@ class TestBaselineBlock:
         stack = make_stack(seed=7, kind="baseline")
         q, kv = random_qkv(8)
         k_in, v_in = Tensor(kv), Tensor(kv.copy())
-        q_out, k_out, v_out = baseline_block_forward(
-            Tensor(q), k_in, v_in, stack.blocks[0], heads=1
+        q_out, k_out, v_out = dm_block_forward(
+            Tensor(q), k_in, v_in, stack.blocks[0], heads=1, visual=False, q_out=False
         )
         assert k_out is k_in and v_out is v_in
 
@@ -96,8 +95,8 @@ class TestBaselineBlock:
         stack = make_stack(seed=9)
         blk = stack.blocks[0]
         q, kv = random_qkv(10)
-        q_out, _, _ = baseline_block_forward(
-            Tensor(q), Tensor(kv), Tensor(kv), blk, heads=1
+        q_out, _, _ = dm_block_forward(
+            Tensor(q), Tensor(kv), Tensor(kv), blk, heads=1, visual=False, q_out=False
         )
         from reference import ref_ffn, ref_layer_norm, ref_mha
 

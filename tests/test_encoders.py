@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from adds import training
 from adds.encoders import (
     DEFAULT_PROMPTS,
+    JITTER,
+    MAX_PLANTED,
     SIGNATURE_CHUNK,
     FrozenImageEncoder,
     FrozenTextEncoder,
@@ -66,7 +68,7 @@ class RefTextEncoder:
                 name = min(found, key=self.rank.__getitem__)
                 break
         h = fresh_generator_vector(self.enc, text)[0]
-        v = h if name is None else self.enc.class_vectors[name] + self.enc.jitter * h
+        v = h if name is None else self.enc.class_vectors[name] + JITTER * h
         return v / np.linalg.norm(v)
 
     def embed_label(self, name, prompts):
@@ -334,7 +336,7 @@ class TestSyntheticWorld:
         for _ in range(50):
             img, labels = world.sample(stream)
             assert img.shape == (32, 32)
-            assert 1 <= labels.sum() <= world.max_planted
+            assert 1 <= labels.sum() <= MAX_PLANTED
             assert labels.shape == (6,)
 
     def test_planted_signature_present_verbatim(self):

@@ -19,12 +19,16 @@ MODULES = {"adds.training": training, "adds.decoder": decoder, "adds.tensor": te
            "adds.encoders": encoders, "adds.checkpoint": checkpoint, "adds.metrics": metrics}
 
 
-def traced_train(cfg, world):
-    """(graph nodes per image, reachable fractions) of one traced train() call."""
+def new_tracer():
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    tracer = spans.Tracer(MODULES)
+    return spans.Tracer(MODULES)
+
+
+def traced_train(cfg, world):
+    """(graph nodes per image, reachable fractions) of one traced train() call."""
+    tracer = new_tracer()
     with tracer.installed():
         tracer.train_call_started()
         nodes = tracer.nodes_created
@@ -42,3 +46,12 @@ def test_tracer_counts_nodes_and_walks_the_graph():
     assert nodes > 0
     assert len(reachable) == 2 and all(0 < r <= 1 for r in reachable)
     assert traced_train(cfg, world) == (nodes, reachable)
+
+
+def test_every_wrapped_name_but_the_stale_one_is_found():
+    # a deletion that strands a wrapper fails here instead of reading 0 us;
+    # encode_tile is the known stale wrapper (the tower now runs encode_tiles)
+    tracer = new_tracer()
+    with tracer.installed():
+        pass
+    assert tracer.absent == {"adds.encoders.FrozenImageEncoder.encode_tile"}
