@@ -47,6 +47,11 @@ def _now() -> str:
     )
 
 
+def _run_id(settings: dict) -> str:
+    """16 hex digits of the sha-256 of a run's settings as sorted JSON."""
+    return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def _write_manifest(out_dir: Path, subcommand: str, config: dict, timestamp: str,
                     run_id: str, seeds: dict, artifacts: dict) -> None:
     manifest = {"tool_version": __version__, "subcommand": subcommand, "config": config,
@@ -99,8 +104,9 @@ def read_config_file(path) -> dict:
     return out
 
 
-def _read_manifest(path) -> tuple[dict, str]:
-    """(config, timestamp) of a run manifest."""
+def _read_manifest(path, keys) -> tuple[dict, str]:
+    """(config, timestamp) of a run manifest whose config holds exactly ``keys``,
+    the settings its subcommand writes."""
     try:
         manifest = json.loads(_read_text(path, FormatError))
     except json.JSONDecodeError as exc:
@@ -110,6 +116,9 @@ def _read_manifest(path) -> tuple[dict, str]:
     config, timestamp = manifest.get("config"), manifest.get("timestamp")
     if not isinstance(config, dict) or not isinstance(timestamp, str):
         raise FormatError(f"manifest {path} needs a config object and a timestamp")
+    missing, unknown = sorted(set(keys) - set(config)), sorted(set(config) - set(keys))
+    if missing or unknown:
+        raise FormatError(f"manifest {path}: config keys missing {missing}, unknown {unknown}")
     return config, timestamp
 
 
@@ -183,7 +192,7 @@ def cmd_plan(args) -> int:
 
 def cmd_train(args) -> int:
     if args.manifest:
-        cfg_dict, timestamp = _read_manifest(args.manifest)
+        cfg_dict, timestamp = _read_manifest(args.manifest, _FIELDS)
     else:
         cfg_dict = read_config_file(args.config) if args.config else {}
         cfg_dict.update((k, v) for k, v in vars(args).items()
@@ -198,7 +207,7 @@ def cmd_train(args) -> int:
     with atomic_open(loss_path) as fh:
         for epoch, loss in enumerate(ckpt.loss_history):
             fh.write(f"epoch {epoch} loss {loss:.10f}\n")
-    _write_manifest(out_dir, "train", config.to_dict(), timestamp, config.hash()[:16],
+    _write_manifest(out_dir, "train", config.to_dict(), timestamp, _run_id(config.to_dict()),
                     {"seed": config.seed, "world_seed": config.world_seed},
                     {"checkpoint": str(ckpt_path), "loss_log": str(loss_path)})
     print(f"trained {config.epochs} epochs; final loss "
@@ -227,7 +236,7 @@ _EVAL_SETTINGS = {
 
 def cmd_eval(args) -> int:
     if args.manifest:
-        settings, timestamp = _read_manifest(args.manifest)
+        settings, timestamp = _read_manifest(args.manifest, _EVAL_SETTINGS)
         where = f"manifest {args.manifest}: "
     else:
         settings = {
@@ -239,8 +248,6 @@ def cmd_eval(args) -> int:
         }
         timestamp, where = _now(), ""
     for key, (takes, ok) in _EVAL_SETTINGS.items():
-        if key not in settings:
-            raise FormatError(f"{where}config lacks {key}")
         if not ok(settings[key]):
             raise ConfigurationError(f"{where}{key} must be {takes}, got {settings[key]!r}")
     scores, labels, vocab = evaluation_scores(
@@ -251,17 +258,14 @@ def cmd_eval(args) -> int:
     )
     report = metrics_report(scores, labels, settings["ks"])
     out_dir = _out_dir(args.out)
-    run_id = hashlib.sha256(
-        json.dumps(settings, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    record = {"run_id": run_id, "mAP": round(report.map, 6)}
+    record = {"run_id": _run_id(settings), "mAP": round(report.map, 6)}
     for k in settings["ks"]:
         record[f"f1@{k}"] = round(report.f1_at[k], 6)
     record["timestamp"] = timestamp
     metrics_path = out_dir / "metrics.jsonl"
     with atomic_open(metrics_path) as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
-    _write_manifest(out_dir, "eval", settings, timestamp, run_id,
+    _write_manifest(out_dir, "eval", settings, timestamp, record["run_id"],
                     {"eval_seed": settings["eval_seed"]}, {"metrics": str(metrics_path)})
     if args.format == "record":
         print(json.dumps(record, sort_keys=True))
@@ -343,10 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=int, default=8)
     p.add_argument("--depth", type=int, default=1)
     p.add_argument("--eps", type=float, default=1e-5)
-    p.add_argument("--self-test", action="store_true",
-                   help="check a quadratic with a known gradient")
-    p.add_argument("--corrupt-gradient", action="store_true",
-                   help="debug: deliberately break the analytic gradient")
+    which = p.add_mutually_exclusive_group()
+    which.add_argument("--self-test", action="store_true",
+                       help="check a quadratic with a known gradient")
+    which.add_argument("--corrupt-gradient", action="store_true",
+                       help="debug: deliberately break the analytic gradient")
     p.set_defaults(func=cmd_gradcheck)
     return parser
 

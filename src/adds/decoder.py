@@ -27,9 +27,6 @@ from .tensor import (
     sigmoid,
 )
 
-LAYER_NORM_EPS = 1e-5
-
-
 class _Leaves:
     """A dataclass of parameter tensors; ``tensors`` names them in field order."""
 
@@ -101,7 +98,6 @@ class ClassifierHead(_Leaves):
 class DecoderStack:
     blocks: list[DecoderBlockParams]
     kind: str  # "dual_modal" | "baseline"
-    embed_dim: int
     heads: int
 
     def sites(self, i: int) -> dict:
@@ -187,7 +183,7 @@ def init_stack(
     hidden = ffn_hidden if ffn_hidden is not None else 4 * embed_dim
     blocks = [init_block(stream, embed_dim, hidden, dropout_rate, dtype)
               for _ in range(depth)]
-    return DecoderStack(blocks=blocks, kind=kind, embed_dim=embed_dim, heads=heads)
+    return DecoderStack(blocks=blocks, kind=kind, heads=heads)
 
 
 def init_head(stream, e, dtype=np.float64) -> ClassifierHead:
@@ -202,7 +198,7 @@ def init_head(stream, e, dtype=np.float64) -> ClassifierHead:
 
 
 def _norm(x: Tensor, p: LayerNormParams) -> Tensor:
-    return layer_norm(x, p.gain, p.bias, LAYER_NORM_EPS)
+    return layer_norm(x, p.gain, p.bias)
 
 
 def dm_block_forward(q, k, v, params, heads, noise=None, visual=True, q_out=True):

@@ -8,13 +8,12 @@ that class's signature patch, so the visual-textual alignment assumption is
 exactly true by construction and can be tested rather than presumed.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, ShapeError
-from .rng import SeedStreams
+from .rng import SeedStreams, derive_key
 
 DEFAULT_PROMPTS = ("This photo contains {}", "This is a {} photo")  # {}: the class name
 JITTER = 0.05  # weight of a known class name's template-dependent perturbation
@@ -105,8 +104,8 @@ class FrozenTextEncoder:
         }
 
     def _hash_draw(self, text: str, out: np.ndarray) -> None:
-        """Fill ``out`` with normal draws from a Philox stream keyed by the
-        string's digest.
+        """Fill ``out`` with normal draws from a Philox stream keyed by
+        ``derive_key(seed, text)``, as a ``SeedStreams`` stream is keyed.
 
         One generator is re-keyed per string, to the state that
         ``Philox(key=words)`` starts in; it converts ``words`` the same way.
@@ -114,8 +113,7 @@ class FrozenTextEncoder:
         A word >= 2**63 beside a smaller one makes ``np.asarray`` pick
         float64, which rounds the key; every text embedding depends on it.
         """
-        digest = hashlib.sha256(f"{self.seed}:{text}".encode("utf-8")).digest()
-        words = [int.from_bytes(digest[i:i + 8], "little") for i in range(0, 16, 8)]
+        words = derive_key(self.seed, text)
         self._fresh_state["state"]["key"] = np.asarray(words).astype(np.uint64)
         self._philox.state = self._fresh_state
         self._gen.standard_normal(out=out)

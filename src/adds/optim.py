@@ -15,15 +15,14 @@ from .tensor import Tensor, _node, backward
 class AdamState:
     """Adam moments for a fixed parameter list, kept in flat buffers.
 
-    ``for_params`` packs the trainable parameters' values into the one
-    contiguous array ``values`` and rebinds each ``p.value`` to a view of it;
-    ``flat_m`` and ``flat_v`` hold the moments in the same layout, so one
-    vectorised update steps every parameter. ``m[i]`` and ``v[i]`` are
-    parameter i's moments: views into the flat arrays, or zeros of its own
-    for a frozen parameter. ``views`` holds the packed parameters' values in
-    packing order. From then on a packed parameter is updated in place; one
-    whose ``.value`` is rebound would no longer train, and ``adam_step``
-    refuses it.
+    ``for_params`` packs the parameters' values, all trainable and of one
+    dtype, into the one contiguous array ``values`` and rebinds each
+    ``p.value`` to a view of it; ``flat_m`` and ``flat_v`` hold the moments in
+    the same layout, so one vectorised update steps every parameter. ``m[i]``
+    and ``v[i]`` are parameter i's moments, views into the flat arrays.
+    ``views`` holds the parameters' values in packing order. From then on a
+    parameter is updated in place; one whose ``.value`` is rebound would no
+    longer train, and ``adam_step`` refuses it.
     """
 
     m: list
@@ -36,27 +35,23 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: list[Tensor]) -> "AdamState":
-        packed = [p for p in params if p.trainable]
-        dtypes = sorted({p.value.dtype.name for p in packed})
+        frozen = [i for i, p in enumerate(params) if not p.trainable]
+        if frozen:
+            raise ConfigurationError(f"params[{frozen[0]}] is frozen; Adam packs trainable ones")
+        dtypes = sorted({p.value.dtype.name for p in params})
         if len(dtypes) > 1:
-            raise ConfigurationError(
-                f"trainable parameters mix dtypes {dtypes}; Adam keeps them in one buffer"
-            )
-        values = np.concatenate([p.value.reshape(-1) for p in packed]) if packed else np.empty(0)
+            raise ConfigurationError(f"parameters mix dtypes {dtypes}; Adam keeps one buffer")
+        values = np.concatenate([p.value.reshape(-1) for p in params]) if params else np.empty(0)
         flat_m, flat_v = np.zeros_like(values), np.zeros_like(values)
         m, v, lo = [], [], 0
         for p in params:
-            if not p.trainable:
-                m.append(np.zeros_like(p.value))
-                v.append(np.zeros_like(p.value))
-                continue
             shape, hi = p.value.shape, lo + p.value.size
             p.value = values[lo:hi].reshape(shape)
             m.append(flat_m[lo:hi].reshape(shape))
             v.append(flat_v[lo:hi].reshape(shape))
             lo = hi
         return cls(m=m, v=v, values=values, flat_m=flat_m, flat_v=flat_v,
-                   views=[p.value for p in packed])
+                   views=[p.value for p in params])
 
 
 def adam_step(
@@ -70,32 +65,31 @@ def adam_step(
     """One Adam update from each parameter's accumulated ``.grad``.
 
     Weight decay is decoupled (applied directly to the value, not the
-    gradient) and, like the update itself, touches trainable params only.
-    Every op works element by element, so one pass over the flat buffers
-    rounds exactly like a loop over the parameters. ``params`` must be the
-    list ``state`` was made for, its trainable values still the views
-    ``for_params`` bound; otherwise ``ConfigurationError``, before any update.
+    gradient). Every op works element by element, so one pass over the flat
+    buffers rounds exactly like a loop over the parameters. ``params`` must be
+    the list ``state`` was made for, each still trainable and its value still
+    the view ``for_params`` bound; otherwise ``ConfigurationError``, before
+    any update.
     """
     if lr <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {lr}")
-    packed = [p for p in params if p.trainable]
-    if len(packed) != len(state.views) or any(
-        p.value is not w for p, w in zip(packed, state.views)
+    if len(params) != len(state.views) or any(
+        not p.trainable or p.value is not w for p, w in zip(params, state.views)
     ):
         raise ConfigurationError(
-            "a trainable parameter's value is not its view of the Adam buffer; "
+            "a parameter is frozen, or its value is not its view of the Adam buffer; "
             "update parameters in place"
         )
     b1, b2 = betas
     state.step += 1
     t = state.step
-    if not packed:
+    if not params:
         return
     values, m, v = state.values, state.flat_m, state.flat_v
     dt = values.dtype
     g = np.concatenate([
         p.grad.reshape(-1) if p.grad is not None else np.zeros(p.value.size, dt)
-        for p in packed
+        for p in params
     ])
     if wd:
         values -= dt.type(lr * wd) * values

@@ -20,8 +20,7 @@ from .errors import ConfigurationError, ShapeError
 @dataclass(frozen=True)
 class TileRect:
     x: int  # column offset in the level's resized image
-    y: int  # row offset
-    side: int
+    y: int  # row offset; every tile is the plan's base_size on a side
 
 
 @dataclass
@@ -95,9 +94,7 @@ def build_plan(
         n_i = math.ceil(min(2.0**i, d))
         resized = min(base_size * 2**i, target_side)
         xs = _tile_offsets(resized, base_size, n_i)
-        tiles = [
-            TileRect(x=x, y=y, side=base_size) for y in xs for x in xs
-        ]
+        tiles = [TileRect(x=x, y=y) for y in xs for x in xs]
         if n_i > 1 and resized < n_i * base_size:
             overlap = base_size - (xs[1] - xs[0])
         else:

@@ -11,7 +11,8 @@ import hashlib
 import numpy as np
 
 
-def _derive_key(root_seed: int, label: str) -> list[int]:
+def derive_key(root_seed: int, label: str) -> list[int]:
+    """The two 64-bit words of the sha-256 digest of ``"{root_seed}:{label}"``."""
     digest = hashlib.sha256(f"{root_seed}:{label}".encode("utf-8")).digest()
     return [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 16, 8)]
 
@@ -25,7 +26,7 @@ class SeedStreams:
 
     def stream(self, label: str) -> np.random.Generator:
         if label not in self._streams:
-            bg = np.random.Philox(key=_derive_key(self.root_seed, label))
+            bg = np.random.Philox(key=derive_key(self.root_seed, label))
             self._streams[label] = np.random.Generator(bg)
         return self._streams[label]
 

@@ -18,9 +18,10 @@ dtype.
 A value belongs to the caller holding its tensor and to the backward closures
 that read it, each of which captures, when its op runs, the arrays it reads.
 The graph keeps only what routes gradients (``Tensor.node``), so a value no
-backward reads dies with the caller's last reference, and no gradient is
-formed for a leaf that needs none. ``backward`` consumes the graph: afterwards
-only leaves hold ``.grad``, and a step's memory is bounded by its own graph.
+backward reads dies with the caller's last reference. A frozen leaf is a
+plain value that no op keeps as a parent, so no gradient is formed for it.
+``backward`` consumes the graph: afterwards only parameters hold ``.grad``,
+and a step's memory is bounded by its own graph.
 """
 
 import numpy as np
@@ -34,10 +35,10 @@ class Tensor:
     """A value and its place in the computation graph.
 
     Leaf tensors with ``trainable=True`` are parameters: ``backward`` leaves
-    their accumulated gradient in ``.grad``. Non-trainable leaves get a zero
-    gradient (frozen-parameter contract). An op's result holds its parents
-    and backward closure until an op consumes it, then its ``node()`` does,
-    until ``backward`` has passed its gradient on.
+    their accumulated gradient in ``.grad``. A non-trainable leaf is frozen:
+    no op keeps it as a parent, and its ``.grad`` stays None. An op's result
+    holds its parents and backward closure until an op consumes it, then its
+    ``node()`` does, until ``backward`` has passed its gradient on.
     """
 
     __slots__ = ("value", "grad", "trainable", "_parents", "_backward", "_node")
@@ -74,13 +75,14 @@ def param(value, trainable=True) -> Tensor:
 
 
 def _node(value, parents, backward) -> Tensor:
-    """An op's result. ``backward(g, *routes)`` adds into the ``.grad`` of each
-    parent's node, given as None for a leaf that needs no gradient."""
-    nodes = [p.node() for p in parents]
-    routes = [n if n.trainable or n._parents else None for n in nodes]
+    """An op's result, whose parents are the nodes that route a gradient.
+    ``backward(g, *routes)`` adds into the ``.grad`` of each parent's node,
+    given as None for a leaf that needs no gradient."""
+    routes = [n if n.trainable or n._parents else None for n in map(Tensor.node, parents)]
     if not any(routes):
         return Tensor(value)
-    return Tensor(value, _parents=tuple(nodes), _backward=lambda g: backward(g, *routes))
+    return Tensor(value, _parents=tuple(filter(None, routes)),
+                  _backward=lambda g: backward(g, *routes))
 
 
 def _binary(value, a, b, grad_a, grad_b) -> Tensor:
@@ -426,8 +428,8 @@ def backward(root: Tensor) -> None:
     the first of its consumers adds into it. Once a node has passed its
     gradient on, it drops its gradient, its backward closure and its parents,
     so the activations its closure saved are freed as the pass goes and the
-    root is left a leaf. Only leaves keep ``.grad``: a parameter its
-    accumulated gradient, a non-trainable leaf zeros.
+    root is left a leaf. Only parameters keep ``.grad``, their accumulated
+    gradient; a frozen leaf is no node, so it is never reached.
     """
     if root.value.shape != (1, 1):
         raise ShapeError(f"backward expects a scalar (1,1) root, got {root.value.shape}")
@@ -452,12 +454,9 @@ def backward(root: Tensor) -> None:
     while topo:
         node = topo.pop()
         if not node._parents:
-            # frozen-parameter contract: leaves that are not trainable carry zero grad
-            if not node.trainable:
-                node.grad = np.zeros_like(node.value)
             continue
         for p in node._parents:
-            if p.grad is None and (p.trainable or p._parents):
+            if p.grad is None:
                 p.grad = np.zeros_like(p.value)
         if node._backward is not None:
             node._backward(node.grad)

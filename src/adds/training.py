@@ -8,8 +8,6 @@ set, and Adam updates the decoder and head.
 """
 
 import contextlib
-import hashlib
-import json
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields
@@ -111,10 +109,6 @@ class TrainConfig:
         if unknown:
             raise ConfigurationError(f"unknown config keys {unknown}")
         return cls(**d)
-
-    def hash(self) -> str:
-        canon = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
     @property
     def np_dtype(self):

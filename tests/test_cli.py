@@ -296,7 +296,7 @@ class TestTrainEval:
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("defect", ["truncated", "no_timestamp", "not_object",
-                                        "directory"])
+                                        "directory", "missing_key", "unknown_key"])
     def test_bad_manifest_exit_1(self, capsys, tmp_path, config_file, command, defect):
         assert run(capsys, "train", "--config", str(config_file),
                    "--out", str(tmp_path))[0] == 0
@@ -305,18 +305,30 @@ class TestTrainEval:
                        "--n-eval", "4", "--out", str(tmp_path))[0] == 0
         text = (tmp_path / "run_manifest.json").read_text()
         manifest = json.loads(text)
+        config = manifest["config"]
+        # a train manifest without lr would retrain at the default lr
+        dropped = {"train": "lr", "eval": "n_eval"}[command]
         path = tmp_path / "bad_manifest.json"
         if defect == "directory":
             path.mkdir()
         else:
-            path.write_text({"truncated": text[: len(text) // 2],
-                             "no_timestamp": json.dumps({"config": manifest["config"]}),
-                             "not_object": json.dumps([manifest])}[defect])
+            path.write_text({
+                "truncated": text[: len(text) // 2],
+                "no_timestamp": json.dumps({"config": config}),
+                "not_object": json.dumps([manifest]),
+                "missing_key": json.dumps({**manifest, "config": {
+                    k: v for k, v in config.items() if k != dropped}}),
+                "unknown_key": json.dumps({**manifest, "config": {**config, "n_evals": 3}}),
+            }[defect])
         code, _, err = run(capsys, command, "--manifest", str(path),
                            "--out", str(tmp_path / "rerun"))
         assert code == 1
         assert err.startswith("error:")
-        assert not (tmp_path / "rerun" / "run_manifest.json").exists()
+        keys = {"missing_key": f"missing ['{dropped}'], unknown []",
+                "unknown_key": "missing [], unknown ['n_evals']"}.get(defect)
+        if keys:
+            assert err == f"error: manifest {path}: config keys {keys}\n"
+        assert not (tmp_path / "rerun").exists()
 
     @pytest.mark.parametrize("key, value", [("pyramid_levels", [True]),
                                             ("pyramid_levels", [False]),
@@ -365,7 +377,6 @@ class TestTrainEval:
         assert list(tmp_path.iterdir()) == [config_file]
 
     # the update overflows; the error line must come first, with no numpy warning
-    @pytest.mark.filterwarnings("error")
     def test_non_finite_parameter_exit_1(self, capsys, tmp_path):
         # one step, so no later minibatch loss sees what the update left
         path = tmp_path / "huge_lr.cfg"
@@ -376,7 +387,6 @@ class TestTrainEval:
         assert err.startswith("error: epoch 0 step 0: decoder.block0.")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.filterwarnings("error")
     def test_eval_non_finite_scores_exit_1(self, capsys, tmp_path, config_file):
         run(capsys, "train", "--config", str(config_file), "--out", str(tmp_path))
         ckpt = load_checkpoint(tmp_path / "checkpoint.adds")
@@ -638,8 +648,15 @@ class TestGradcheck:
                            "--corrupt-gradient")
         assert code == 1
 
+    def test_self_test_with_corrupt_gradient_exit_2(self, capsys):
+        # the self-test has no gradient to corrupt, so the pair is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--self-test", "--corrupt-gradient"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "not allowed with argument" in err
+
     # an eps of 1e200 overflows the perturbed loss
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args", [("--dims", "0"), ("--depth", "0"), ("--eps", "0"),
                                       ("--self-test", "--eps", "0"),
                                       ("--self-test", "--eps", "1e200")])
@@ -694,7 +711,6 @@ def _argv(draw):
     return [arg for arg in argv if arg is not None]
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=200, deadline=None, derandomize=True)
 @example(argv=["gradcheck", "--dims", "4", "--depth", "1", "--eps", "inf"])
 @example(argv=["gradcheck", "--self-test", "--eps", "1e200"])
@@ -727,7 +743,6 @@ _MANIFEST_VALUES = st.sampled_from([
 ])
 
 
-@pytest.mark.filterwarnings("error")
 @settings(max_examples=100, deadline=None, derandomize=True)
 @example(key="checkpoint", value=0)
 @given(key=st.sampled_from(["checkpoint", "ks", "vocab", "n_eval", "eval_seed"]),

@@ -46,7 +46,7 @@ class TestBuildPlan:
         plan = build_plan(64, 64)
         assert len(plan.levels) == 1
         only = plan.levels[0].tiles[0]
-        assert (only.x, only.y, only.side) == (0, 0, 64)
+        assert (only.x, only.y, plan.base_size) == (0, 0, 64)
         assert plan.tile_count() == 1
 
     def test_level_selection(self):
@@ -134,7 +134,8 @@ class TestExtractTiles:
         crops = []
         for lv in plan.selected_levels():
             resized = resize_bilinear(img, lv.resized_side)
-            crops.extend(resized[t.y : t.y + t.side, t.x : t.x + t.side] for t in lv.tiles)
+            side = plan.base_size
+            crops.extend(resized[t.y : t.y + side, t.x : t.x + side] for t in lv.tiles)
         np.testing.assert_array_equal(extract_tiles(img, plan), crops)
 
     def test_wrong_image_side(self):

