@@ -283,6 +283,8 @@ def cmd_eval(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     if args.self_test:
+        if args.dims is not None or args.depth is not None:
+            raise ConfigurationError("--dims and --depth do not apply to --self-test")
         theta = Tensor(SeedStreams(3).stream("theta").standard_normal((4, 4)),
                        trainable=True)
         params, threshold = [theta], 1e-9
@@ -290,7 +292,8 @@ def cmd_gradcheck(args) -> int:
         def loss_fn():  # 0.5 * sum(theta ** 2), whose gradient is theta
             return scale(mean_all(mul(theta, theta)), 0.5 * theta.value.size)
     else:
-        loss_fn, params = decoder_gradcheck_loss(args.dims, args.depth,
+        loss_fn, params = decoder_gradcheck_loss(8 if args.dims is None else args.dims,
+                                                 1 if args.depth is None else args.depth,
                                                  args.corrupt_gradient)
         threshold = 1e-4
     err = grad_check(loss_fn, params, eps=args.eps)
@@ -344,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient check")
-    p.add_argument("--dims", type=int, default=8)
-    p.add_argument("--depth", type=int, default=1)
+    p.add_argument("--dims", type=int, help="default 8; not with --self-test")
+    p.add_argument("--depth", type=int, help="default 1; not with --self-test")
     p.add_argument("--eps", type=float, default=1e-5)
     which = p.add_mutually_exclusive_group()
     which.add_argument("--self-test", action="store_true",

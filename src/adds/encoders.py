@@ -109,7 +109,8 @@ class FrozenTextEncoder:
 
         One generator is re-keyed per string, to the state that
         ``Philox(key=words)`` starts in; it converts ``words`` the same way.
-        So one encoder must not be shared between threads.
+        So one encoder must not be shared between threads: evaluation keeps
+        the text tower on its calling thread (``training._decoder_scores``).
         A word >= 2**63 beside a smaller one makes ``np.asarray`` pick
         float64, which rounds the key; every text embedding depends on it.
         """

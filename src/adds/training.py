@@ -10,6 +10,7 @@ set, and Adam updates the decoder and head.
 import contextlib
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -227,11 +228,13 @@ def encode_image(world, plan, image, dtype=np.float64) -> np.ndarray:
 N_EVAL, EVAL_SEED = 200, 1234  # the evaluation set, unless a run names another
 
 
-def eval_samples(world, n_eval: int, eval_seed: int) -> list:
-    """The evaluation set: ``n_eval`` fresh (image, labels) pairs of the world."""
+def eval_samples(world, n_eval: int, eval_seed: int):
+    """The evaluation set: ``n_eval`` fresh (image, labels) pairs of the world,
+    drawn as iterated from one ``eval_data`` stream, by the calling thread alone."""
     if n_eval < 1:
         raise ValueError(f"n_eval must be >= 1, got {n_eval}")
-    return world.sample_many(SeedStreams(eval_seed).stream("eval_data"), n_eval)
+    stream = SeedStreams(eval_seed).stream("eval_data")
+    return (world.sample(stream) for _ in range(n_eval))
 
 
 def build_model(config: TrainConfig, streams: SeedStreams):
@@ -382,56 +385,65 @@ def restore_model(ckpt: Checkpoint):
     return config, world, stack, head
 
 
-def _restored_eval_set(ckpt: Checkpoint, n_eval: int, eval_seed: int):
-    """The restored model (``restore_model``), and the images and label rows
-    of its world's evaluation set (``eval_samples``)."""
-    model = restore_model(ckpt)
-    samples = eval_samples(model[1], n_eval, eval_seed)
-    return model, [img for img, _ in samples], np.stack([lab for _, lab in samples])
-
-
 def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=N_EVAL, eval_seed=EVAL_SEED):
     """Score the evaluation set (``eval_samples``) of the checkpoint's world.
 
     Returns (scores n x |vocab|, labels, vocab names). ``vocab`` defaults to
     the seen classes of the training split; passing the full class list
     exercises the open-vocabulary path (unseen names are simply embedded).
+    Only the image tower leaves the calling thread (``_decoder_scores``).
     """
-    model, images, labels = _restored_eval_set(ckpt, n_eval, eval_seed)
-    config, world = model[:2]
+    config, world, _, _ = model = restore_model(ckpt)
     if vocab is None:
         vocab, _ = open_vocab_split(world.class_names, config.n_seen)
     if not vocab:
         raise ValueError("vocab names no labels")
-    vocab_idx = class_indices(world, vocab)
-    return _decoder_scores(model, vocab, images), labels[:, vocab_idx], list(vocab)
+    scores, _, labels = _decoder_scores(model, vocab, n_eval, eval_seed)
+    return scores, labels, list(vocab)
 
 
-def _decoder_scores(model, vocab, images) -> np.ndarray:
-    """Scores of a restored model, n images x |vocab|. One forward takes as
-    many images as fit CHUNK_BYTES of key/value and query rows; an image's
-    scores depend on that image alone, so no chunking changes a bit of them.
-    A non-finite score raises ``NumericError``, naming the first; numpy's
-    overflow and invalid-value warnings on the way to it are silenced."""
+def _decoder_scores(model, vocab, n_eval, eval_seed):
+    """(scores, images, labels) of a restored model on the evaluation set,
+    scores and labels n_eval x |vocab|. A forward takes as many images as fit
+    CHUNK_BYTES of key/value and query rows, which changes no bit of a score.
+    The calling thread embeds the vocabulary, draws each chunk and runs the
+    decoder; one worker thread, joined before return, runs only each chunk's
+    pyramid and image tower (``encode_images``). An encode's error reaches
+    the caller as raised; the encodes queued after it are cancelled. The
+    first non-finite score raises a warning-free ``NumericError`` naming it."""
     config, world, stack, head = model
     plan, dtype = build_pyramid_plan(config), config.np_dtype
-    q0 = label_queries(world, vocab, dtype)
+    cols, q0 = class_indices(world, vocab), label_queries(world, vocab, dtype)
+    samples = eval_samples(world, n_eval, eval_seed)
     kv_rows = plan.row_count(1 + world.image_encoder.n_patches)
     image_bytes = (kv_rows + len(vocab)) * config.embed_dim * dtype.itemsize
-    rows = []
-    for c in batch_chunks(len(images), image_bytes):
-        kv = encode_images(world, plan, images[c], dtype)
-        q = np.broadcast_to(q0, (len(kv), *q0.shape))
-        with np.errstate(over="ignore", invalid="ignore"):
-            probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
-        rows.append(probs.value[..., 0])
+    drawn, jobs, rows = [], [], []
+
+    def cancel_later(job):  # on the worker, as an encode ends
+        if not job.cancelled() and job.exception():
+            for later in jobs:
+                later.cancel()
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        for c in batch_chunks(n_eval, image_bytes):
+            drawn += [next(samples) for _ in range(n_eval)[c]]
+            jobs.append(pool.submit(encode_images, world, plan, [i for i, _ in drawn[c]], dtype))
+            jobs[-1].add_done_callback(cancel_later)
+        for kv in (job.result() for job in jobs):
+            q = np.broadcast_to(q0, (len(kv), *q0.shape))
+            with np.errstate(over="ignore", invalid="ignore"):
+                probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
+            rows.append(probs.value[..., 0])
+    finally:
+        pool.shutdown(cancel_futures=True)
     scores = np.concatenate(rows)
     bad = np.argwhere(~np.isfinite(scores))
     if len(bad):
         image, label = bad[0]
         raise NumericError(f"score of eval image {image} for label {vocab[label]!r} "
                            f"is {scores[image, label]}")
-    return scores
+    return scores, [img for img, _ in drawn], np.stack([lab for _, lab in drawn])[:, cols]
 
 
 def cosine_baseline_scores(world, images, vocab) -> np.ndarray:
@@ -452,14 +464,13 @@ def open_vocab_report(ckpt: Checkpoint, n_eval=N_EVAL, eval_seed=EVAL_SEED) -> d
     """mAP of the decoder and of the cosine baseline over the seen, the unseen
     and all classes: {"decoder": {"seen", "unseen", "all"}, "cosine": {…}}.
     Each group is a slice of the columns of one forward over every class."""
-    model, images, labels = _restored_eval_set(ckpt, n_eval, eval_seed)
-    config, world = model[:2]
+    config, world, _, _ = model = restore_model(ckpt)
     names = world.class_names
     seen, unseen = open_vocab_split(names, config.n_seen)
     groups = {"seen": class_indices(world, seen), "unseen": class_indices(world, unseen),
               "all": slice(None)}
-    scores = {"decoder": _decoder_scores(model, names, images),
-              "cosine": cosine_baseline_scores(world, images, names)}
+    decoder, images, labels = _decoder_scores(model, names, n_eval, eval_seed)
+    scores = {"decoder": decoder, "cosine": cosine_baseline_scores(world, images, names)}
     return {kind: {group: mean_average_precision(s[:, cols], labels[:, cols])[0]
                    for group, cols in groups.items()}
             for kind, s in scores.items()}

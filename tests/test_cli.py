@@ -656,6 +656,16 @@ class TestGradcheck:
         out, err = capsys.readouterr()
         assert out == "" and "not allowed with argument" in err
 
+    @pytest.mark.parametrize("args", [("--dims", "0", "--depth", "-3"), ("--dims", "8"),
+                                      ("--depth", "1")])
+    def test_self_test_refuses_decoder_settings(self, capsys, args):
+        # the self-test builds no decoder, so a --dims or --depth (even its
+        # default value) would be silently ignored
+        code, out, err = run(capsys, "gradcheck", "--self-test", *args)
+        assert code == 1
+        assert err == "error: --dims and --depth do not apply to --self-test\n"
+        assert out == ""
+
     # an eps of 1e200 overflows the perturbed loss
     @pytest.mark.parametrize("args", [("--dims", "0"), ("--depth", "0"), ("--eps", "0"),
                                       ("--self-test", "--eps", "0"),

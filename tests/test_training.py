@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from adds import cli, tensor, training
 from adds.checkpoint import load_checkpoint, save_checkpoint
 from adds.decoder import classify, stack_forward
+from adds.encoders import SyntheticWorld
 from adds.errors import ConfigurationError, NumericError
 from adds.metrics import MetricsReport, mean_average_precision, metrics_report
 from adds.pyramid import encode_and_stack, extract_tiles, resize_bilinear
@@ -21,6 +23,7 @@ from adds.training import (
     build_model,
     build_pyramid_plan,
     build_world,
+    class_indices,
     cosine_baseline_scores,
     default_lr,
     eval_samples,
@@ -563,3 +566,125 @@ class TestChunkedInference:
         other = dataclasses.replace(ckpt, config={**ckpt.config, "batch_size": 3})
         assert _same_bits(evaluation_scores(ckpt, n_eval=10)[0],
                           evaluation_scores(other, n_eval=10)[0])
+
+
+def serial_scores(ckpt, vocab, n_eval, eval_seed):
+    """(scores, labels, images) of the serial loop the evaluation pipeline
+    replaced: draw the whole set, then encode and score one chunk after
+    another, all on this thread."""
+    config, world, stack, head = training.restore_model(ckpt)
+    plan, dtype = build_pyramid_plan(config), config.np_dtype
+    q0 = label_queries(world, vocab, dtype)
+    samples = world.sample_many(SeedStreams(eval_seed).stream("eval_data"), n_eval)
+    images = [img for img, _ in samples]
+    rows = plan.row_count(1 + world.image_encoder.n_patches) + len(vocab)
+    scores = []
+    for c in tensor.batch_chunks(n_eval, rows * config.embed_dim * dtype.itemsize):
+        kv = training.encode_images(world, plan, images[c], dtype)
+        q = np.broadcast_to(q0, (len(kv), *q0.shape))
+        scores.append(classify(stack_forward(Tensor(q), Tensor(kv), stack), head).value[..., 0])
+    labels = np.stack([lab for _, lab in samples])[:, class_indices(world, vocab)]
+    return np.concatenate(scores), labels, images
+
+
+each_entry_point = pytest.mark.parametrize(
+    "entry", [evaluation_scores, open_vocab_report], ids=lambda entry: entry.__name__)
+
+
+class TestEvaluationPipeline:
+    """Evaluation encodes images on one worker thread while the calling
+    thread runs the decoder: the same bits as the serial loop, errors as
+    raised, and no thread left behind."""
+
+    @pytest.fixture(scope="class", params=[64, 240], ids=["64px", "240px"])
+    def side_ckpt(self, request):
+        return train(tiny_config(image_side=request.param, n_train=8, epochs=1))
+
+    def test_scores_and_labels_equal_the_serial_loop(self, side_ckpt, monkeypatch):
+        config, world = training.restore_model(side_ckpt)[:2]
+        names, n_eval = world.class_names, 7
+        plan = build_pyramid_plan(config)
+        rows = plan.row_count(1 + world.image_encoder.n_patches) + len(names)
+        # two images a forward for every vocabulary here: four chunks of 7
+        monkeypatch.setattr(tensor, "CHUNK_BYTES",
+                            2 * rows * config.embed_dim * config.np_dtype.itemsize)
+        forwards, maps = [], []
+
+        def forward_spy(q, kv, *args, **kwargs):
+            forwards.append(len(kv.value))
+            return stack_forward(q, kv, *args, **kwargs)
+
+        def map_spy(scores, labels):
+            maps.append((scores, labels))
+            return mean_average_precision(scores, labels)
+
+        monkeypatch.setattr(training, "stack_forward", forward_spy)
+        monkeypatch.setattr(training, "mean_average_precision", map_spy)
+        seen, _ = open_vocab_split(names, config.n_seen)
+        for vocab in (None, seen, names):
+            scores, labels, _ = evaluation_scores(side_ckpt, vocab=vocab, n_eval=n_eval)
+            expect = serial_scores(side_ckpt, vocab or seen, n_eval, training.EVAL_SEED)
+            assert _same_bits(scores, expect[0]) and _same_bits(labels, expect[1])
+        assert forwards == [2, 2, 2, 1] * 3
+
+        report = open_vocab_report(side_ckpt, n_eval=n_eval)
+        scores, labels, images = serial_scores(side_ckpt, names, n_eval, training.EVAL_SEED)
+        decoder_all = maps[2]  # seen, unseen, all: the third is every column
+        assert _same_bits(decoder_all[0], scores) and _same_bits(decoder_all[1], labels)
+        cosine = cosine_baseline_scores(world, images, names)
+        assert report["cosine"]["all"] == mean_average_precision(cosine, labels)[0]
+        assert report["decoder"]["all"] == mean_average_precision(scores, labels)[0]
+
+    def test_only_the_image_tower_runs_on_the_worker(self, ckpt, monkeypatch):
+        threads = {}
+
+        def record(owner, name):
+            fn = getattr(owner, name)
+
+            def spy(*args, **kwargs):
+                threads.setdefault(name, set()).add(threading.current_thread())
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, spy)
+
+        for name in ("label_queries", "encode_images", "stack_forward", "classify"):
+            record(training, name)
+        record(SyntheticWorld, "sample")  # the eval stream's draws
+        monkeypatch.setattr(tensor, "CHUNK_BYTES", 1)  # one image a chunk
+        evaluation_scores(ckpt, n_eval=5)
+        main = {threading.current_thread()}
+        worker = threads.pop("encode_images")
+        assert len(worker) == 1 and not worker & main
+        assert all(t == main for t in threads.values())
+
+    @each_entry_point
+    def test_encode_error_reaches_caller_and_cancels_later_encodes(self, ckpt, monkeypatch,
+                                                                   entry):
+        encode, boom = training.encode_images, RuntimeError("chunk 2")
+        calls, decoding = [], threading.Event()
+
+        def encode_spy(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                # the decoder starts once every chunk is submitted
+                assert decoding.wait(timeout=30)
+                raise boom
+            return encode(*args)
+
+        def forward_spy(*args, **kwargs):
+            decoding.set()
+            return stack_forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "encode_images", encode_spy)
+        monkeypatch.setattr(training, "stack_forward", forward_spy)
+        monkeypatch.setattr(tensor, "CHUNK_BYTES", 1)  # one image a chunk: six chunks
+        with pytest.raises(RuntimeError) as raised:
+            entry(ckpt, n_eval=6)
+        assert raised.value is boom
+        assert len(calls) == 2  # chunks 3 to 6 were cancelled, never encoded
+
+    @each_entry_point
+    def test_empty_eval_set_raises_before_a_thread_starts(self, ckpt, monkeypatch, entry):
+        monkeypatch.setattr(training, "ThreadPoolExecutor",
+                            lambda *a: pytest.fail("a worker thread was started"))
+        with pytest.raises(ValueError, match="n_eval must be >= 1, got 0"):
+            entry(ckpt, n_eval=0)
