@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .tensor import Tensor, _node
+from .tensor import Tensor, _op
 
 PROB_EPS = 1e-7
 
@@ -115,9 +115,6 @@ def asl_loss_node(p: Tensor, y: np.ndarray, cfg: AslConfig) -> Tensor:
     inv_n = dtype.type(1.0 / len(rows))
     total = np.cumsum(values.astype(dtype))[-1]
     grad = grad.reshape(p.value.shape).astype(dtype)
-
-    def backward(g, p):
-        p.grad += g[0, 0] * inv_n * grad
-
-    return _node(np.full((1, 1), total * inv_n, dtype=dtype), (p,), backward)
+    return _op(np.full((1, 1), total * inv_n, dtype=dtype), (p,),
+               (lambda g: g[0, 0] * inv_n * grad,))
 

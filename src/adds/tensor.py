@@ -1,10 +1,12 @@
 """Dense tensors with reverse-mode gradient accumulation.
 
 The op set is deliberately closed: matmul, elementwise add/mul, row-vector
-broadcast add, scale, relu, sigmoid, layer norm, dropout, mean reduction, and
-multi-head attention, which is one node with a hand-written backward over all
-heads. The feed-forward block is composed from these primitives. Every
-gradient path is covered by finite-difference checks.
+broadcast add, scale, relu, sigmoid, layer norm, dropout, mean reduction and,
+composed from them, the feed-forward block. Each is its value plus one gradient
+function per input (``_op``), run in input order and only for an input that
+needs a gradient. Multi-head attention is one node whose hand-written backward
+shares intermediates across all heads and inputs. Every gradient path is
+covered by finite-difference checks.
 
 Values are one image's rows x cols array, or a (batch, rows, cols) stack of
 them; parameters are 2-D and shared by every image of a stack. Scalars are
@@ -23,6 +25,8 @@ plain value that no op keeps as a parent, so no gradient is formed for it.
 ``backward`` consumes the graph: afterwards only parameters hold ``.grad``,
 and a step's memory is bounded by its own graph.
 """
+
+from functools import partial
 
 import numpy as np
 
@@ -75,26 +79,25 @@ def param(value, trainable=True) -> Tensor:
 
 
 def _node(value, parents, backward) -> Tensor:
-    """An op's result, whose parents are the nodes that route a gradient.
-    ``backward(g, *routes)`` adds into the ``.grad`` of each parent's node,
-    given as None for a leaf that needs no gradient."""
+    """The one place a graph node is made: an op's result, whose parents are the
+    nodes that route a gradient. ``backward(routes, g)`` adds into the ``.grad``
+    of each node in ``routes``, None for a leaf that needs no gradient."""
     routes = [n if n.trainable or n._parents else None for n in map(Tensor.node, parents)]
     if not any(routes):
         return Tensor(value)
-    return Tensor(value, _parents=tuple(filter(None, routes)),
-                  _backward=lambda g: backward(g, *routes))
+    return Tensor(value, _parents=tuple(filter(None, routes)), _backward=partial(backward, routes))
 
 
-def _binary(value, a, b, grad_a, grad_b) -> Tensor:
-    """An op's result on a and b, whose gradients are ``grad_a(g)`` and
-    ``grad_b(g)``, formed only for an input that needs one, a's first."""
-    def backward(g, a, b):
-        if a is not None:
-            a.grad += grad_a(g)
-        if b is not None:
-            b.grad += grad_b(g)
+def _op(value, inputs, grads) -> Tensor:
+    """An op's result on ``inputs``, whose gradient for ``inputs[i]`` is
+    ``grads[i](g)``, added in input order, and only for an input that needs one."""
+    return _node(value, inputs, partial(_add_grads, grads))  # a partial: no closure per op
 
-    return _node(value, (a, b), backward)
+
+def _add_grads(grads, nodes, g) -> None:
+    for node, grad in zip(nodes, grads):
+        if node is not None:
+            node.grad += grad(g)
 
 
 def _image_sum(x: np.ndarray) -> np.ndarray:
@@ -163,56 +166,44 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.value.shape} x {b.value.shape}")
     av, bv = a.value, b.value
-    return _binary(av @ bv, a, b, lambda g: g @ bv.T, lambda g: _weight_grad(av, g))
+    return _op(av @ bv, (a, b), (lambda g: g @ bv.T, lambda g: _weight_grad(av, g)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add: shapes differ, {a.value.shape} vs {b.value.shape}")
-    return _binary(a.value + b.value, a, b, lambda g: g, lambda g: g)
+    return _op(a.value + b.value, (a, b), (lambda g: g, lambda g: g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"mul: shapes differ, {a.value.shape} vs {b.value.shape}")
     av, bv = a.value, b.value
-    return _binary(av * bv, a, b, lambda g: g * bv, lambda g: g * av)
+    return _op(av * bv, (a, b), (lambda g: g * bv, lambda g: g * av))
 
 
 def add_rowvec(x: Tensor, v: Tensor) -> Tensor:
     """x + v with v broadcast over rows (and images); v must be 1 x cols."""
     if v.value.shape != (1, x.value.shape[-1]):
         raise ShapeError(f"add_rowvec: {x.value.shape} + {v.value.shape}")
-    return _binary(x.value + v.value, x, v, lambda g: g, _column_sum)
+    return _op(x.value + v.value, (x, v), (lambda g: g, _column_sum))
 
 
 def scale(x: Tensor, s: float) -> Tensor:
     s = x.value.dtype.type(s)
-
-    def backward(g, x):
-        x.grad += g * s
-
-    return _node(x.value * s, (x,), backward)
+    return _op(x.value * s, (x,), (lambda g: g * s,))
 
 
 def relu(x: Tensor) -> Tensor:
     mask = x.value > 0
-
-    def backward(g, x):
-        x.grad += g * mask
-
-    return _node(np.where(mask, x.value, x.value.dtype.type(0)), (x,), backward)
+    return _op(np.where(mask, x.value, x.value.dtype.type(0)), (x,), (lambda g: g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     v = x.value
     out_val = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
                        np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v)))).astype(v.dtype)
-
-    def backward(g, x):
-        x.grad += g * out_val * (1.0 - out_val)
-
-    return _node(out_val, (x,), backward)
+    return _op(out_val, (x,), (lambda g: g * out_val * (1.0 - out_val),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -231,22 +222,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     out_val = y0 * gv
     out_val += bias.value
 
-    def backward(g, x, gain, bias):
-        if gain is not None:
-            gain.grad += _column_sum(g * y0)
-        if bias is not None:
-            bias.grad += _column_sum(g)
-        if x is not None:
-            dy0 = g * gv
-            m1 = _pairwise_sum(dy0, -1) / cols
-            m2 = _pairwise_sum(dy0 * y0, -1) / cols
-            # (dy0 - m1 - y0 * m2) * inv_std in place; y0 is read no more
-            dy0 -= m1
-            dy0 -= np.multiply(y0, m2, out=y0)
-            dy0 *= inv_std
-            x.grad += dy0
+    def grad_x(g):
+        dy0 = g * gv
+        m1 = _pairwise_sum(dy0, -1) / cols
+        m2 = _pairwise_sum(dy0 * y0, -1) / cols
+        # (dy0 - m1 - y0 * m2) * inv_std in place; y0 is read no more
+        dy0 -= m1
+        dy0 -= np.multiply(y0, m2, out=y0)
+        dy0 *= inv_std
+        return dy0
 
-    return _node(out_val, (x, gain, bias), backward)
+    # x comes last: its gradient overwrites y0, which gain's gradient reads
+    return _op(out_val, (gain, bias, x), (lambda g: _column_sum(g * y0), _column_sum, grad_x))
 
 
 def dropout(x: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
@@ -264,20 +251,13 @@ def dropout(x: Tensor, rate: float, uniforms: np.ndarray | None) -> Tensor:
     keep = uniforms >= rate
     factor = x.value.dtype.type(1.0 / (1.0 - rate))
     mask = keep.astype(x.value.dtype) * factor
-
-    def backward(g, x):
-        x.grad += g * mask
-
-    return _node(x.value * mask, (x,), backward)
+    return _op(x.value * mask, (x,), (lambda g: g * mask,))
 
 
 def mean_all(x: Tensor) -> Tensor:
-    n = x.value.size
-
-    def backward(g, x):  # reads x's node only for its shape and dtype
-        x.grad += np.full_like(x.value, g[0, 0] / n)
-
-    return _node(np.array([[x.value.mean()]], dtype=x.value.dtype), (x,), backward)
+    n, shape, dtype = x.value.size, x.value.shape, x.value.dtype  # the gradient keeps no value
+    return _op(np.array([[x.value.mean()]], dtype=dtype), (x,),
+               (lambda g: np.full(shape, g[0, 0] / n, dtype),))
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +359,8 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
         scores *= s
         np.matmul(by_query(softmax(scores, out=scores, axis=axis)), vh[c], out=heads_out[c])
 
-    def backward(g, q, k, v, wq, wk, wv, wo):
+    def backward(routes, g):
+        q, k, v, wq, wk, wv, wo = routes
         if wo is not None:
             wo.grad += _weight_grad(attended, g)
         g_att = split(np.matmul(g, params.wo.value.T, out=attended))

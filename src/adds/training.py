@@ -285,8 +285,9 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     # dataset is fixed per seed; draw it before any training randomness
     data_stream = streams.stream("data")
     samples = world.sample_many(data_stream, config.n_train, class_subset=seen_idx)
-    kv_all = encode_images(world, plan, [img for img, _ in samples], dtype)
     label_mat = np.stack([lab[seen_idx] for _, lab in samples])
+    kv_all = encode_images(world, plan, [img for img, _ in samples], dtype)
+    del samples  # training reads only the images' rows, so the images die here
 
     stack, head = build_model(config, streams)
     params = named_parameters(stack, head)
@@ -312,8 +313,7 @@ def train(config: TrainConfig, world=None, resume: Checkpoint | None = None) -> 
     dropout_stream = streams.stream("dropout")
     selection_stream = streams.stream("selection")
     asl_cfg = config.asl_config()
-    k_seen = len(seen)
-    n = len(samples)
+    k_seen, n = len(seen), config.n_train
 
     for epoch in range(start_epoch, config.epochs):
         order = shuffle_stream.permutation(n)
@@ -398,22 +398,23 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=N_EVAL, eval_seed=EVA
         vocab, _ = open_vocab_split(world.class_names, config.n_seen)
     if not vocab:
         raise ValueError("vocab names no labels")
-    scores, _, labels = _decoder_scores(model, vocab, n_eval, eval_seed)
+    queries = label_queries(world, vocab)
+    scores, _, labels = _decoder_scores(model, vocab, queries, n_eval, eval_seed)
     return scores, labels, list(vocab)
 
 
-def _decoder_scores(model, vocab, n_eval, eval_seed):
-    """(scores, images, labels) of a restored model on the evaluation set,
-    scores and labels n_eval x |vocab|. A forward takes as many images as fit
-    CHUNK_BYTES of key/value and query rows, which changes no bit of a score.
-    The calling thread embeds the vocabulary, draws each chunk and runs the
-    decoder; one worker thread, joined before return, runs only each chunk's
-    pyramid and image tower (``encode_images``). An encode's error reaches
-    the caller as raised; the encodes queued after it are cancelled. The
-    first non-finite score raises a warning-free ``NumericError`` naming it."""
+def _decoder_scores(model, vocab, queries, n_eval, eval_seed):
+    """(scores, images, labels) of a restored model on the evaluation set, scores
+    and labels n_eval x |vocab|, from the vocabulary's float64 ``queries``. A
+    forward takes as many images as fit CHUNK_BYTES of key/value and query rows,
+    which changes no bit of a score. The calling thread draws each chunk and
+    runs the decoder; one worker thread, joined before return, runs only each
+    chunk's pyramid and image tower (``encode_images``). An encode's error
+    reaches the caller as raised; the encodes queued after it are cancelled.
+    The first non-finite score raises a warning-free ``NumericError`` naming it."""
     config, world, stack, head = model
     plan, dtype = build_pyramid_plan(config), config.np_dtype
-    cols, q0 = class_indices(world, vocab), label_queries(world, vocab, dtype)
+    cols, q0 = class_indices(world, vocab), queries.astype(dtype)
     samples = eval_samples(world, n_eval, eval_seed)
     kv_rows = plan.row_count(1 + world.image_encoder.n_patches)
     image_bytes = (kv_rows + len(vocab)) * config.embed_dim * dtype.itemsize
@@ -446,14 +447,13 @@ def _decoder_scores(model, vocab, n_eval, eval_seed):
     return scores, [img for img, _ in drawn], np.stack([lab for _, lab in drawn])[:, cols]
 
 
-def cosine_baseline_scores(world, images, vocab) -> np.ndarray:
-    """Decoder-free reference scores, n images x |vocab|: cosine of each
-    image's global CLS token (level-0 view: the whole image resized to the
-    encoder's base size) against every label query, with the bits of one
-    image's ``labels @ row / (norms * np.linalg.norm(row))`` alone."""
+def cosine_baseline_scores(world, images, labels) -> np.ndarray:
+    """Decoder-free reference scores, n images x k: cosine of each image's
+    global CLS token (level-0 view: the whole image resized to the encoder's
+    base size) against each of the k label query rows ``labels``, with the
+    bits of one image's ``labels @ row / (norms * np.linalg.norm(row))`` alone."""
     plan = build_plan(world.base_size, world.image_side, selected_levels=[0])
     v = encode_images(world, plan, images)[:, 0]
-    labels = label_queries(world, vocab)
     vn = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
     if np.any(vn == 0):
         raise ValueError("an image embedding has zero norm")
@@ -469,8 +469,9 @@ def open_vocab_report(ckpt: Checkpoint, n_eval=N_EVAL, eval_seed=EVAL_SEED) -> d
     seen, unseen = open_vocab_split(names, config.n_seen)
     groups = {"seen": class_indices(world, seen), "unseen": class_indices(world, unseen),
               "all": slice(None)}
-    decoder, images, labels = _decoder_scores(model, names, n_eval, eval_seed)
-    scores = {"decoder": decoder, "cosine": cosine_baseline_scores(world, images, names)}
+    queries = label_queries(world, names)
+    decoder, images, labels = _decoder_scores(model, names, queries, n_eval, eval_seed)
+    scores = {"decoder": decoder, "cosine": cosine_baseline_scores(world, images, queries)}
     return {kind: {group: mean_average_precision(s[:, cols], labels[:, cols])[0]
                    for group, cols in groups.items()}
             for kind, s in scores.items()}

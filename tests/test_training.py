@@ -4,6 +4,7 @@ import importlib.util
 import re
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,25 @@ class TestTrain:
         assert not {id(t) for t in inputs} & {id(t) for t, _ in walked}
         assert all(t.grad is None for t in inputs)
 
+    def test_training_images_die_once_encoded(self, monkeypatch):
+        # training reads only the images' key/value rows, so no image it
+        # encoded is alive when the first step runs
+        refs, alive = [], []
+
+        def encode_spy(world, plan, images, dtype):
+            refs.extend(weakref.ref(img) for img in images)
+            return encode_images(world, plan, images, dtype)
+
+        def forward_spy(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in refs))
+            return stack_forward(*args, **kwargs)
+
+        encode_images = training.encode_images
+        monkeypatch.setattr(training, "encode_images", encode_spy)
+        monkeypatch.setattr(training, "stack_forward", forward_spy)
+        train(tiny_config(epochs=1, n_train=8, batch_size=4))
+        assert len(refs) == 8 and alive == [0, 0]
+
     def test_resume_config_mismatch(self):
         half = train(tiny_config())
         with pytest.raises(ConfigurationError):
@@ -401,7 +421,7 @@ class TestEvaluation:
     def test_cosine_baseline_scores(self):
         world = build_world(tiny_config())
         images = [img for img, _ in eval_samples(world, 6, 7)]
-        scores = cosine_baseline_scores(world, images, world.class_names)
+        scores = cosine_baseline_scores(world, images, label_queries(world, world.class_names))
         assert scores.shape == (6, 8)
         assert np.all(np.abs(scores) <= 1.0 + 1e-12)
 
@@ -411,7 +431,7 @@ class TestEvaluation:
         monkeypatch.setattr(training, "encode_images",
                             lambda world, plan, images: np.zeros((len(images), 1, 8)))
         with pytest.raises(ValueError, match="an image embedding has zero norm"):
-            cosine_baseline_scores(world, images, world.class_names)
+            cosine_baseline_scores(world, images, label_queries(world, world.class_names))
 
     def test_scores_are_pinned(self):
         # SHA-256 of the score bytes of the engine that encoded one tile per
@@ -428,7 +448,7 @@ class TestEvaluation:
         names = world.class_names
         scores, labels, _ = evaluation_scores(ckpt, vocab=names, n_eval=12, eval_seed=3)
         cosine = cosine_baseline_scores(
-            world, [img for img, _ in eval_samples(world, 12, 3)], names)
+            world, [img for img, _ in eval_samples(world, 12, 3)], label_queries(world, names))
         seen, unseen = open_vocab_split(names, 6)
         groups = {"seen": [names.index(n) for n in seen],
                   "unseen": [names.index(n) for n in unseen], "all": list(range(8))}
@@ -437,6 +457,18 @@ class TestEvaluation:
             kind: {g: mean_average_precision(s[:, c], labels[:, c])[0]
                    for g, c in groups.items()}
             for kind, s in (("decoder", scores), ("cosine", cosine))}
+
+    def test_open_vocab_report_embeds_the_vocabulary_once(self, ckpt, monkeypatch):
+        # the decoder and the cosine baseline score the same float64 rows
+        calls = []
+
+        def spy(world, names, *args):
+            calls.append(list(names))
+            return label_queries(world, names, *args)
+
+        monkeypatch.setattr(training, "label_queries", spy)
+        open_vocab_report(ckpt, n_eval=4)
+        assert calls == [build_world(tiny_config()).class_names]
 
     def test_open_vocab_report_non_finite_score_named(self, ckpt):
         # a finite weight whose products overflow makes every decoder score NaN;
@@ -559,8 +591,7 @@ class TestChunkedInference:
             c = world.image_encoder.encode_tiles(resize_bilinear(img, base)[None])[0, 0]
             expect.append((q @ c) / (np.linalg.norm(q, axis=1) * np.linalg.norm(c)))
         monkeypatch.setattr(tensor, "CHUNK_BYTES", 3 * base**2 * 8)
-        assert _same_bits(cosine_baseline_scores(world, images, world.class_names),
-                          np.stack(expect))
+        assert _same_bits(cosine_baseline_scores(world, images, q), np.stack(expect))
 
     def test_training_batch_size_does_not_change_scores(self, ckpt):
         other = dataclasses.replace(ckpt, config={**ckpt.config, "batch_size": 3})
@@ -631,7 +662,7 @@ class TestEvaluationPipeline:
         scores, labels, images = serial_scores(side_ckpt, names, n_eval, training.EVAL_SEED)
         decoder_all = maps[2]  # seen, unseen, all: the third is every column
         assert _same_bits(decoder_all[0], scores) and _same_bits(decoder_all[1], labels)
-        cosine = cosine_baseline_scores(world, images, names)
+        cosine = cosine_baseline_scores(world, images, label_queries(world, names))
         assert report["cosine"]["all"] == mean_average_precision(cosine, labels)[0]
         assert report["decoder"]["all"] == mean_average_precision(scores, labels)[0]
 
