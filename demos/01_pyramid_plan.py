@@ -14,7 +14,7 @@ def show(base, target, **kw):
     plan = build_plan(base, target, **kw)
     rep = cost_report(plan)
     print(f"\nbase {base}, target {target} (scale d = {plan.scale:g})")
-    for lv in plan.selected_levels():
+    for lv in plan.levels:
         note = " (CLS tokens only)" if lv.cls_only else ""
         print(f"  level {lv.index}: resize to {lv.resized_side}, "
               f"{lv.grid}x{lv.grid} tiles, overlap {lv.overlap_px}px{note}")

@@ -16,10 +16,13 @@ The values are stored in the config's ``dtype`` (float32 or float64), so a
 float64 run resumes from a file bit-exactly; version 1, which always stored
 float32, is no longer read. Weight tensors are stored under their parameter
 names, then the Adam moments under "opt.m.<name>" and "opt.v.<name>" in the
-same order. Save -> load -> save is byte-identical; anything else raises
-``FormatError``. A save replaces the file whole (``atomic_open``).
+same order. The config holds exactly ``TrainConfig``'s fields, since a
+missing one would be read back as its default. Save -> load -> save is
+byte-identical; anything else raises ``FormatError``. A save replaces the
+file whole (``atomic_open``).
 """
 
+import dataclasses
 import hashlib
 import json
 import struct
@@ -27,13 +30,14 @@ import struct
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import FormatError
-from .training import Checkpoint
+from .errors import FormatError, require_keys
+from .training import Checkpoint, TrainConfig
 
 CHECKPOINT_MAGIC = b"ADDSCKP1"
 CHECKPOINT_VERSION = 2
 _BLOB_DTYPES = {"float32": "<f4", "float64": "<f8"}
 _META_KEYS = ("epoch", "loss_history", "opt_step", "rng")
+_CONFIG_KEYS = [f.name for f in dataclasses.fields(TrainConfig)]  # the config, whole
 
 
 def _blob_dtype(config) -> str:
@@ -136,6 +140,7 @@ def _parse_checkpoint(data: bytes) -> Checkpoint:
         raise FormatError("config hash mismatch")
     config = _canonical_json(config_json, "config")
     dtype = _blob_dtype(config)
+    require_keys(config, _CONFIG_KEYS, "checkpoint")
     meta = _canonical_json(r.take(r.u32("meta length"), "meta"), "meta")
     if not isinstance(meta, dict) or sorted(meta) != list(_META_KEYS):
         raise FormatError(f"checkpoint meta must hold exactly the keys {_META_KEYS}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_open
-from .errors import ConfigurationError, FormatError, NumericError
+from .errors import ConfigurationError, FormatError, NumericError, require_keys
 from .checkpoint import load_checkpoint, save_checkpoint
 from .metrics import F1_CUTOFFS, metrics_report
 from .optim import decoder_gradcheck_loss, grad_check
@@ -84,8 +84,8 @@ def _read_text(path, error=ConfigurationError) -> str:
 
 
 def read_config_file(path) -> dict:
-    """Flat key = value config; keys mirror TrainConfig fields."""
-    out = {}
+    """Flat key = value config; keys mirror TrainConfig fields, each set once."""
+    out, set_on = {}, {}
     for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -94,7 +94,11 @@ def read_config_file(path) -> dict:
             raise ConfigurationError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _FIELDS:
-            raise ConfigurationError(f"unknown config key {key!r}")
+            raise ConfigurationError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise ConfigurationError(f"{path}:{lineno}: {key} is already set on line "
+                                     f"{set_on[key]}")
+        set_on[key] = lineno
         try:
             out[key] = _parse(_FIELDS[key].type, value)
         except (ValueError, KeyError):
@@ -116,9 +120,7 @@ def _read_manifest(path, keys) -> tuple[dict, str]:
     config, timestamp = manifest.get("config"), manifest.get("timestamp")
     if not isinstance(config, dict) or not isinstance(timestamp, str):
         raise FormatError(f"manifest {path} needs a config object and a timestamp")
-    missing, unknown = sorted(set(keys) - set(config)), sorted(set(config) - set(keys))
-    if missing or unknown:
-        raise FormatError(f"manifest {path}: config keys missing {missing}, unknown {unknown}")
+    require_keys(config, keys, f"manifest {path}:")
     return config, timestamp
 
 
@@ -147,7 +149,7 @@ def cmd_plan(args) -> int:
     plan = build_plan(
         args.base_size,
         args.target_size,
-        selected_levels=levels or None,
+        selected_levels=levels,
         cls_only_non_bottom=args.cls_only,
     )
     report = cost_report(plan)
@@ -165,7 +167,7 @@ def cmd_plan(args) -> int:
                     "overlap_px": lv.overlap_px,
                     "cls_only": lv.cls_only,
                 }
-                for lv in plan.selected_levels()
+                for lv in plan.levels
             ],
             "pyramid_units": report.pyramid_units,
             "naive_units": report.naive_units,
@@ -177,7 +179,7 @@ def cmd_plan(args) -> int:
           f"scale d = {plan.scale:g}")
     print(f"{'level':>5} {'resized':>8} {'grid':>5} {'tiles':>6} "
           f"{'overlap':>8} {'cls_only':>9}")
-    for lv in plan.selected_levels():
+    for lv in plan.levels:
         print(f"{lv.index:>5} {lv.resized_side:>8} {lv.grid:>5} "
               f"{len(lv.tiles):>6} {lv.overlap_px:>8} {str(lv.cls_only):>9}")
     print(f"total tiles: {plan.tile_count()}")

@@ -8,7 +8,7 @@ that class's signature patch, so the visual-textual alignment assumption is
 exactly true by construction and can be tested rather than presumed.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,10 +63,10 @@ class FrozenImageEncoder:
 
 
 def _row_norms(m: np.ndarray) -> np.ndarray:
-    """The norm of each row of ``m``, taken as ``np.linalg.norm`` takes a 1-D
-    norm: the dot of the row with itself. ``norm(m, axis=1)``, einsum
-    and ``(m * m).sum(1)`` add in other orders and may differ in the last bit."""
-    return np.sqrt([row.dot(row) for row in m])
+    """Each row's norm as ``np.linalg.norm`` takes a 1-D norm, the row dotted
+    with itself, for all rows in one batched matmul. ``norm(m, axis=1)``,
+    einsum and ``(m * m).sum(1)`` add in other orders: last bits may differ."""
+    return np.sqrt((m[:, None, :] @ m[:, :, None])[:, 0, 0])
 
 
 def unit_rows(m: np.ndarray) -> np.ndarray:
@@ -183,13 +183,14 @@ class SyntheticWorld:
     noise_std: float
     image_encoder: FrozenImageEncoder
     text_encoder: FrozenTextEncoder
-    _cells: list = field(default_factory=list)
+    _cells: list  # (y, x) of each planting cell, one patch apart
 
     def sample(self, stream, class_subset=None):
-        """One (image, binary label vector) pair with 1..MAX_PLANTED classes."""
+        """One (image, binary label vector) pair with 1..MAX_PLANTED classes,
+        no more than the image has cells."""
         k = len(self.class_names)
         pool = np.arange(k) if class_subset is None else np.asarray(class_subset)
-        n_pos = int(stream.integers(1, min(MAX_PLANTED, len(pool)) + 1))
+        n_pos = int(stream.integers(1, min(MAX_PLANTED, len(pool), len(self._cells)) + 1))
         chosen = stream.choice(pool, size=n_pos, replace=False)
         cell_ids = stream.choice(len(self._cells), size=n_pos, replace=False)
         img = self.noise_std * stream.standard_normal((self.image_side, self.image_side))
@@ -228,23 +229,6 @@ def make_synthetic_world(
     sig_stream = streams.stream("signatures")
     signatures = sig_stream.standard_normal((k, patch_size, patch_size))
     names = _make_names(k)
-
-    world = SyntheticWorld(
-        class_names=names,
-        signatures=signatures,
-        image_side=image_side,
-        base_size=base_size,
-        patch_size=patch_size,
-        embed_dim=embed_dim,
-        noise_std=noise_std,
-        image_encoder=encoder,
-        text_encoder=None,  # filled below
-        _cells=[
-            (y, x)
-            for y in range(0, image_side, patch_size)
-            for x in range(0, image_side, patch_size)
-        ],
-    )
     # a chunk at a time bounds the intermediates of a large vocabulary, here
     # and in the separability check below (k x k cosines would be 192 MB at 4,900)
     cls = np.empty((k, embed_dim))
@@ -268,6 +252,19 @@ def make_synthetic_world(
             f"{k} classes are not separable at patch size {patch_size} "
             f"(max signature cosine {worst:.3f})"
         )
-    table = dict(zip(names, responses))
-    world.text_encoder = FrozenTextEncoder(embed_dim, table, seed=seed)
-    return world
+    return SyntheticWorld(
+        class_names=names,
+        signatures=signatures,
+        image_side=image_side,
+        base_size=base_size,
+        patch_size=patch_size,
+        embed_dim=embed_dim,
+        noise_std=noise_std,
+        image_encoder=encoder,
+        text_encoder=FrozenTextEncoder(embed_dim, dict(zip(names, responses)), seed=seed),
+        _cells=[
+            (y, x)
+            for y in range(0, image_side, patch_size)
+            for x in range(0, image_side, patch_size)
+        ],
+    )

@@ -10,6 +10,8 @@ from .rng import SeedStreams
 from .supervision import AslConfig, asl_loss_node
 from .tensor import Tensor, _op, backward
 
+BETAS = (0.9, 0.999)  # Adam's decay rates of the first and second moments
+
 
 @dataclass
 class AdamState:
@@ -59,17 +61,16 @@ def adam_step(
     state: AdamState,
     lr: float,
     wd: float = 0.0,
-    betas: tuple[float, float] = (0.9, 0.999),
     eps: float = 1e-8,
 ) -> None:
     """One Adam update from each parameter's accumulated ``.grad``.
 
-    Weight decay is decoupled (applied directly to the value, not the
-    gradient). Every op works element by element, so one pass over the flat
-    buffers rounds exactly like a loop over the parameters. ``params`` must be
-    the list ``state`` was made for, each still trainable and its value still
-    the view ``for_params`` bound; otherwise ``ConfigurationError``, before
-    any update.
+    The moments decay at ``BETAS``. Weight decay is decoupled (applied to
+    the value, not the gradient). Every op works element by element, so one
+    pass over the flat buffers rounds exactly like a loop over the
+    parameters. ``params`` must be the list ``state`` was made for, each
+    still trainable and its value still the view ``for_params`` bound;
+    otherwise ``ConfigurationError``, before any update.
     """
     if lr <= 0:
         raise ConfigurationError(f"learning rate must be positive, got {lr}")
@@ -80,7 +81,7 @@ def adam_step(
             "a parameter is frozen, or its value is not its view of the Adam buffer; "
             "update parameters in place"
         )
-    b1, b2 = betas
+    b1, b2 = BETAS
     state.step += 1
     t = state.step
     if not params:

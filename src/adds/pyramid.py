@@ -4,9 +4,10 @@ A plan for scale d = target/base builds ceil(log2 d) + 1 levels. Level i
 resizes the image to min(base * 2^i, target) per side and covers it with an
 n_i x n_i grid of base-sized tiles, n_i = ceil(min(2^i, d)). When the resized
 side is not an exact multiple of the base size, tiles overlap with a uniform
-ceil-rounded stride and the last tile is pinned to the far edge. Token
-embeddings of all selected tiles are stacked row-wise in level-major,
-row-major order.
+ceil-rounded stride and the last tile is pinned to the far edge. A plan is
+the levels it runs: a selection of level indices keeps those levels, and an
+empty or absent one keeps every level. Token embeddings of its tiles are
+stacked row-wise in level-major, row-major order.
 """
 
 import math
@@ -38,19 +39,15 @@ class PyramidPlan:
     base_size: int
     target_side: int
     scale: float
-    levels: list[LevelSpec]
-    selected: list[int]
-
-    def selected_levels(self):
-        return [self.levels[i] for i in self.selected]
+    levels: list[LevelSpec]  # the levels it runs, in index order
 
     def tile_count(self) -> int:
-        return sum(len(lv.tiles) for lv in self.selected_levels())
+        return sum(len(lv.tiles) for lv in self.levels)
 
     def row_count(self, tokens_per_tile: int) -> int:
         """Stacked token rows of one image (see :func:`encode_and_stack`)."""
         return sum(len(lv.tiles) * (1 if lv.cls_only else tokens_per_tile)
-                   for lv in self.selected_levels())
+                   for lv in self.levels)
 
 
 @dataclass
@@ -109,21 +106,17 @@ def build_plan(
                 overlap_px=overlap,
             )
         )
-    if selected_levels is None:
-        selected = list(range(n_levels))
-    else:
-        for i in selected_levels:
-            if not 0 <= i < n_levels:
-                raise ConfigurationError(
-                    f"selected level {i} out of range for {n_levels} levels"
-                )
-        selected = sorted(set(selected_levels))
+    for i in selected_levels or ():
+        if not 0 <= i < n_levels:
+            raise ConfigurationError(
+                f"selected level {i} out of range for {n_levels} levels"
+            )
+    selected = sorted(set(selected_levels or range(n_levels)))  # empty: every level
     return PyramidPlan(
         base_size=base_size,
         target_side=target_side,
         scale=d,
-        levels=levels,
-        selected=selected,
+        levels=[levels[i] for i in selected],
     )
 
 
@@ -153,7 +146,7 @@ def resize_bilinear(image: np.ndarray, new_side: int) -> np.ndarray:
 
 
 def extract_tiles(images: np.ndarray, plan: PyramidPlan) -> np.ndarray:
-    """Resize per selected level and crop every tile: (T, base, base) for one
+    """Resize per level and crop every tile: (T, base, base) for one
     image, (B, T, base, base) for a (B, side, side) stack; level-major,
     row-major order. Each level is resized once for the whole stack."""
     side = plan.target_side
@@ -166,7 +159,7 @@ def extract_tiles(images: np.ndarray, plan: PyramidPlan) -> np.ndarray:
     # crops go straight into one array: an array per level and their
     # concatenation took longer than the copies
     start = 0
-    for lv in plan.selected_levels():
+    for lv in plan.levels:
         resized = images if lv.resized_side == side else resize_bilinear(images, lv.resized_side)
         np.stack([resized[..., t.y : t.y + b, t.x : t.x + b] for t in lv.tiles], axis=-3,
                  out=out[..., start : start + len(lv.tiles), :, :])
@@ -181,10 +174,10 @@ def encode_and_stack(tiles: np.ndarray, plan: PyramidPlan, encoder) -> np.ndarra
     Tiles must follow :func:`extract_tiles` order. Levels flagged cls_only
     contribute one row (the CLS token) per tile; others contribute all tokens.
     """
-    levels = plan.selected_levels()
-    cls_only = np.repeat([lv.cls_only for lv in levels], [len(lv.tiles) for lv in levels])
+    cls_only = np.repeat([lv.cls_only for lv in plan.levels],
+                         [len(lv.tiles) for lv in plan.levels])
     if tiles.ndim < 3 or tiles.shape[-3] != len(cls_only):
-        raise ShapeError(f"tiles of shape {tiles.shape} given but plan selects "
+        raise ShapeError(f"tiles of shape {tiles.shape} given but plan has "
                          f"{len(cls_only)} per image")
     tokens = encoder.encode_tiles(tiles.reshape(-1, *tiles.shape[-2:]))
     tokens = tokens.reshape(*tiles.shape[:-2], *tokens.shape[1:])
@@ -196,7 +189,7 @@ def encode_and_stack(tiles: np.ndarray, plan: PyramidPlan, encoder) -> np.ndarra
 def cost_report(plan: PyramidPlan) -> CostReport:
     """Encoder-forward units of the plan vs. token-pair units of one monolithic
     forward at target resolution (one base-size forward = 1 unit)."""
-    per_level = {lv.index: lv.grid**2 for lv in plan.selected_levels()}
+    per_level = {lv.index: lv.grid**2 for lv in plan.levels}
     pyramid_units = sum(per_level.values())
     naive_units = math.ceil(plan.scale) ** 4
     return CostReport(

@@ -439,7 +439,6 @@ def backward(root: Tensor) -> None:
         for p in node._parents:
             if p.grad is None:
                 p.grad = np.zeros_like(p.value)
-        if node._backward is not None:
-            node._backward(node.grad)
+        node._backward(node.grad)
         node.grad = node._backward = None
         node._parents = ()

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 import numpy as np
 
 from .decoder import classify, init_head, init_stack, stack_forward
-from .encoders import DEFAULT_PROMPTS, MAX_CLASSES, make_synthetic_world, unit_rows
+from .encoders import DEFAULT_PROMPTS, MAX_CLASSES, _row_norms, make_synthetic_world, unit_rows
 from .errors import ConfigurationError, NumericError
 from .metrics import mean_average_precision
 from .optim import AdamState, adam_step
@@ -186,7 +186,7 @@ def build_pyramid_plan(config: TrainConfig):
     return build_plan(
         config.base_size,
         config.image_side,
-        selected_levels=config.pyramid_levels or None,
+        selected_levels=config.pyramid_levels,
         cls_only_non_bottom=config.cls_only_non_bottom,
     )
 
@@ -454,7 +454,7 @@ def cosine_baseline_scores(world, images, labels) -> np.ndarray:
     bits of one image's ``labels @ row / (norms * np.linalg.norm(row))`` alone."""
     plan = build_plan(world.base_size, world.image_side, selected_levels=[0])
     v = encode_images(world, plan, images)[:, 0]
-    vn = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    vn = _row_norms(v)
     if np.any(vn == 0):
         raise ValueError("an image embedding has zero norm")
     return (labels @ v[:, :, None])[..., 0] / (np.linalg.norm(labels, axis=1) * vn[:, None])

@@ -174,6 +174,20 @@ class TestVersions:
         for arr in ckpt.weights.values():
             assert np.ascontiguousarray(arr, dtype="<f4").tobytes() in data
 
+    @pytest.mark.parametrize("drop, add", [("noise_std", None), (None, "mystery"),
+                                           ("lr", "learning_rate")])
+    def test_config_holds_exactly_the_train_config_fields(self, ckpt, tmp_path, drop, add):
+        # a missing field would be read back as its default
+        config = {k: v for k, v in ckpt.config.items() if k != drop}
+        if add is not None:
+            config[add] = 1
+        path = tmp_path / "c.adds"
+        save_checkpoint(dataclasses.replace(ckpt, config=config), path)
+        missing, unknown = [drop] if drop else [], [add] if add else []
+        with pytest.raises(FormatError, match=load_error(
+                path, re.escape(f"config keys missing {missing}, unknown {unknown}"))):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("dtype", [None, "float16"])
     def test_missing_or_unknown_dtype(self, ckpt, tmp_path, dtype):
         config = {k: v for k, v in ckpt.config.items() if k != "dtype"}

@@ -33,6 +33,14 @@ seed = 3
 """
 
 
+def tiny_config(lines: str, base: str = TINY_CONFIG) -> str:
+    """``base`` with ``lines`` (key = value, one a line) in place of the lines
+    that set the same keys: a config file sets each key once."""
+    keys = {line.split("=")[0].strip() for line in lines.splitlines()}
+    return "".join(line for line in base.splitlines(True)
+                   if line.split("=")[0].strip() not in keys) + lines
+
+
 @pytest.fixture
 def config_file(tmp_path):
     path = tmp_path / "tiny.cfg"
@@ -85,10 +93,93 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match="expected key = value"):
             read_config_file(path)
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        # the later value was once kept silently
+        path = tmp_path / "twice.cfg"
+        path.write_text("lr = 1e-3\n# a second learning rate\nlr = 5e-3\n")
+        with pytest.raises(ConfigurationError) as exc:
+            read_config_file(path)
+        assert str(exc.value) == f"{path}:3: lr is already set on line 1"
+
+    @pytest.mark.parametrize("line, error", [("lrr = 1", "unknown config key 'lrr'"),
+                                             ("lr = 5e-3", "lr is already set on line 11")])
+    def test_bad_key_names_its_line_exit_1(self, capsys, tmp_path, line, error):
+        path = tmp_path / "bad.cfg"
+        path.write_text(TINY_CONFIG + line + "\n")
+        code, _, err = run(capsys, "train", "--config", str(path), "--out", str(tmp_path))
+        assert (code, err) == (1, f"error: {path}:13: {error}\n")
+        assert not (tmp_path / "checkpoint.adds").exists()
+
     def test_pyramid_levels_list(self, tmp_path):
         path = tmp_path / "ok.cfg"
         path.write_text("pyramid_levels = 0, 2\n")
         assert read_config_file(path)["pyramid_levels"] == [0, 2]
+
+
+# `adds plan BASE TARGET [options]`: its (text, record) output, as printed by the
+# plan that kept every level and a list of the selected ones
+PLAN_GOLDEN = {
+    "336 1344": ("""\
+pyramid plan: base 336, target 1344, scale d = 4
+level  resized  grid  tiles  overlap  cls_only
+    0      336     1      1        0     False
+    1      672     2      4        0     False
+    2     1344     4     16        0     False
+total tiles: 21
+pyramid units: 21  naive units: 256  ratio: 12.19
+""", """\
+{"base_size": 336, "levels": [{"cls_only": false, "grid": 1, "index": 0, "overlap_px": 0, \
+"resized_side": 336, "tiles": 1}, {"cls_only": false, "grid": 2, "index": 1, "overlap_px": 0, \
+"resized_side": 672, "tiles": 4}, {"cls_only": false, "grid": 4, "index": 2, "overlap_px": 0, \
+"resized_side": 1344, "tiles": 16}], "naive_units": 256, "pyramid_units": 21, \
+"ratio": 12.19047619047619, "scale": 4.0, "target_side": 1344}
+"""),
+    "32 240": ("""\
+pyramid plan: base 32, target 240, scale d = 7.5
+level  resized  grid  tiles  overlap  cls_only
+    0       32     1      1        0     False
+    1       64     2      4        0     False
+    2      128     4     16        0     False
+    3      240     8     64        2     False
+total tiles: 85
+pyramid units: 85  naive units: 4096  ratio: 48.19
+""", """\
+{"base_size": 32, "levels": [{"cls_only": false, "grid": 1, "index": 0, "overlap_px": 0, \
+"resized_side": 32, "tiles": 1}, {"cls_only": false, "grid": 2, "index": 1, "overlap_px": 0, \
+"resized_side": 64, "tiles": 4}, {"cls_only": false, "grid": 4, "index": 2, "overlap_px": 0, \
+"resized_side": 128, "tiles": 16}, {"cls_only": false, "grid": 8, "index": 3, "overlap_px": 2, \
+"resized_side": 240, "tiles": 64}], "naive_units": 4096, "pyramid_units": 85, \
+"ratio": 48.188235294117646, "scale": 7.5, "target_side": 240}
+"""),
+    "32 240 --levels 0,2 --cls-only": ("""\
+pyramid plan: base 32, target 240, scale d = 7.5
+level  resized  grid  tiles  overlap  cls_only
+    0       32     1      1        0      True
+    2      128     4     16        0      True
+total tiles: 17
+pyramid units: 17  naive units: 4096  ratio: 240.94
+""", """\
+{"base_size": 32, "levels": [{"cls_only": true, "grid": 1, "index": 0, "overlap_px": 0, \
+"resized_side": 32, "tiles": 1}, {"cls_only": true, "grid": 4, "index": 2, "overlap_px": 0, \
+"resized_side": 128, "tiles": 16}], "naive_units": 4096, "pyramid_units": 17, \
+"ratio": 240.94117647058823, "scale": 7.5, "target_side": 240}
+"""),
+    "100 346 --cls-only": ("""\
+pyramid plan: base 100, target 346, scale d = 3.46
+level  resized  grid  tiles  overlap  cls_only
+    0      100     1      1        0      True
+    1      200     2      4        0      True
+    2      346     4     16       18     False
+total tiles: 21
+pyramid units: 21  naive units: 256  ratio: 12.19
+""", """\
+{"base_size": 100, "levels": [{"cls_only": true, "grid": 1, "index": 0, "overlap_px": 0, \
+"resized_side": 100, "tiles": 1}, {"cls_only": true, "grid": 2, "index": 1, "overlap_px": 0, \
+"resized_side": 200, "tiles": 4}, {"cls_only": false, "grid": 4, "index": 2, \
+"overlap_px": 18, "resized_side": 346, "tiles": 16}], "naive_units": 256, \
+"pyramid_units": 21, "ratio": 12.19047619047619, "scale": 3.46, "target_side": 346}
+"""),
+}
 
 
 class TestPlan:
@@ -132,6 +223,15 @@ class TestPlan:
         assert code == 1
         assert err == (f"error: --levels must be comma-separated level indices, "
                        f"got {levels!r}\n")
+
+    @pytest.mark.parametrize("argv", list(PLAN_GOLDEN))
+    @pytest.mark.parametrize("form", ["text", "record"])
+    def test_output_is_pinned(self, capsys, argv, form):
+        base, target, *rest = argv.split()
+        code, out, err = run(capsys, "plan", "--base-size", base, "--target-size", target,
+                             *rest, "--format", form)
+        assert (code, err) == (0, "")
+        assert out == PLAN_GOLDEN[argv][form == "record"]
 
     @pytest.mark.parametrize("levels", [",", " , ", ""])
     def test_empty_level_list_is_every_level(self, capsys, levels):
@@ -278,7 +378,7 @@ class TestTrainEval:
                                       "gamma_neg = inf"])
     def test_invalid_config_exit_1(self, capsys, tmp_path, line):
         path = tmp_path / "bad.cfg"
-        path.write_text(TINY_CONFIG + line + "\n")
+        path.write_text(tiny_config(line + "\n"))
         code, _, err = run(capsys, "train", "--config", str(path),
                            "--out", str(tmp_path))
         assert code == 1
@@ -361,6 +461,34 @@ class TestTrainEval:
         assert err.startswith("error: cls_only_non_bottom")
         assert not (tmp_path / "e" / "metrics.jsonl").exists()
 
+    @pytest.mark.parametrize("key", ["noise_std", "mystery"])
+    def test_checkpoint_config_without_every_field_exit_1(self, capsys, tmp_path, key):
+        # a missing noise_std once rebuilt the world at the default noise
+        path = tmp_path / "noisy.cfg"
+        path.write_text(tiny_config("noise_std = 0.3\n"))
+        assert run(capsys, "train", "--config", str(path), "--out", str(tmp_path))[0] == 0
+        ckpt = load_checkpoint(tmp_path / "checkpoint.adds")
+        if ckpt.config.pop(key, None) is None:
+            ckpt.config[key] = 1
+        save_checkpoint(ckpt, tmp_path / "old.adds")
+        code, _, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "old.adds"),
+                           "--n-eval", "4", "--out", str(tmp_path / "e"))
+        missing, unknown = ([key], []) if key == "noise_std" else ([], [key])
+        assert (code, err) == (1, f"error: {tmp_path / 'old.adds'}: checkpoint config keys "
+                                  f"missing {missing}, unknown {unknown}\n")
+        assert not (tmp_path / "e").exists()
+
+    def test_world_of_fewer_cells_than_planted_classes_trains_and_evaluates(
+            self, capsys, tmp_path):
+        # 4 cells of 8 px: a draw of 5 planted classes once failed mid-run
+        path = tmp_path / "small.cfg"
+        path.write_text(tiny_config("image_side = 16\nbase_size = 16\nepochs = 1\n"))
+        assert run(capsys, "train", "--config", str(path), "--out", str(tmp_path))[0] == 0
+        code, out, err = run(capsys, "eval", "--checkpoint", str(tmp_path / "checkpoint.adds"),
+                             "--n-eval", "20", "--out", str(tmp_path / "e"))
+        assert (code, err) == (0, "")
+        assert "20 images" in out
+
     def test_non_finite_loss_exit_1(self, capsys, tmp_path, config_file, monkeypatch):
         asl_loss_node = training.asl_loss_node
 
@@ -380,7 +508,7 @@ class TestTrainEval:
     def test_non_finite_parameter_exit_1(self, capsys, tmp_path):
         # one step, so no later minibatch loss sees what the update left
         path = tmp_path / "huge_lr.cfg"
-        path.write_text(TINY_CONFIG + "lr = 1e308\nepochs = 1\nn_train = 8\n")
+        path.write_text(tiny_config("lr = 1e308\nepochs = 1\nn_train = 8\n"))
         code, _, err = run(capsys, "train", "--config", str(path),
                            "--out", str(tmp_path / "out"))
         assert code == 1
@@ -605,7 +733,7 @@ class TestTrainEval:
 
 # Each example appends one line to this config. Selection runs (6 seen labels
 # above a threshold of 2), so alpha reaches select_labels.
-_FUZZ_BASE = TINY_CONFIG + "epochs = 1\nn_train = 4\nselection_threshold = 2\n"
+_FUZZ_BASE = tiny_config("epochs = 1\nn_train = 4\nselection_threshold = 2\n")
 # A valid run grows with these fields: a huge value is a long run, not a bad input.
 _RUN_SIZES = {"image_side", "embed_dim", "ffn_hidden", "depth", "epochs", "n_train"}
 _FUZZ_VALUES = st.one_of(
@@ -624,7 +752,7 @@ def test_generated_config_line_exits_0_or_1(key, value):
     assume(not (key in _RUN_SIZES and value.lstrip("-").isdigit() and int(value) > 64))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.cfg"
-        path.write_text(_FUZZ_BASE + f"{key} = {value}\n")
+        path.write_text(tiny_config(f"{key} = {value}\n", _FUZZ_BASE))
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
             code = main(["train", "--config", str(path), "--out", tmp])

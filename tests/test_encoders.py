@@ -15,6 +15,7 @@ from adds.encoders import (
     SIGNATURE_CHUNK,
     FrozenImageEncoder,
     FrozenTextEncoder,
+    _row_norms,
     make_synthetic_world,
 )
 from adds.errors import ConfigurationError, ShapeError
@@ -79,6 +80,12 @@ class RefTextEncoder:
 def same_bits(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_row_norms_are_each_rows_linalg_norm():
+    for e in range(1, 65):
+        m = SeedStreams(e).stream("rows").standard_normal((1 + 3 * e, e))
+        assert same_bits(_row_norms(m), [np.linalg.norm(row) for row in m]), e
 
 
 class TestPromptTemplate:
@@ -338,6 +345,15 @@ class TestSyntheticWorld:
             assert img.shape == (32, 32)
             assert 1 <= labels.sum() <= MAX_PLANTED
             assert labels.shape == (6,)
+
+    def test_one_cell_plants_one_class(self):
+        # more planted classes than cells once failed to draw their cells
+        world = self._world(image_side=8, base_size=8, patch_size=8)
+        assert len(world._cells) == 1
+        stream = SeedStreams(1).stream("data")
+        for _ in range(20):
+            _, labels = world.sample(stream)
+            assert labels.sum() == 1
 
     def test_planted_signature_present_verbatim(self):
         world = self._world(noise_std=0.0)

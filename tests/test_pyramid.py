@@ -55,6 +55,18 @@ class TestBuildPlan:
         with pytest.raises(ConfigurationError, match="out of range"):
             build_plan(336, 1344, selected_levels=[3])
 
+    def test_a_selection_is_the_plan_of_its_levels(self):
+        full = build_plan(336, 1344)
+        plan = build_plan(336, 1344, selected_levels=[2, 0, 2])
+        assert [lv.index for lv in plan.levels] == [0, 2]
+        assert [lv.tiles for lv in plan.levels] == [full.levels[0].tiles, full.levels[2].tiles]
+        assert plan.tile_count() == 1 + 16
+        assert plan.row_count(5) == 5 * (1 + 16)
+        assert cost_report(plan).per_level_tiles == {0: 1, 2: 16}
+        img = SeedStreams(5).stream("img").standard_normal((1344, 1344))
+        np.testing.assert_array_equal(extract_tiles(img, plan),
+                                      np.delete(extract_tiles(img, full), range(1, 5), axis=0))
+
     def test_cls_only_flags_bottom_excluded(self):
         plan = build_plan(336, 1344, cls_only_non_bottom=True)
         assert [lv.cls_only for lv in plan.levels] == [True, True, False]
@@ -132,7 +144,7 @@ class TestExtractTiles:
         # the bottom level overlaps, and its last tile is pinned to the edge
         assert bottom.overlap_px > 0 and bottom.tiles[-1].x == 240 - 32
         crops = []
-        for lv in plan.selected_levels():
+        for lv in plan.levels:
             resized = resize_bilinear(img, lv.resized_side)
             side = plan.base_size
             crops.extend(resized[t.y : t.y + side, t.x : t.x + side] for t in lv.tiles)
