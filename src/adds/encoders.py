@@ -193,7 +193,8 @@ class SyntheticWorld:
         n_pos = int(stream.integers(1, min(MAX_PLANTED, len(pool), len(self._cells)) + 1))
         chosen = stream.choice(pool, size=n_pos, replace=False)
         cell_ids = stream.choice(len(self._cells), size=n_pos, replace=False)
-        img = self.noise_std * stream.standard_normal((self.image_side, self.image_side))
+        img = stream.standard_normal((self.image_side, self.image_side))
+        img *= self.noise_std  # in place: one image-sized array per draw, not two
         p = self.patch_size
         for c, cell in zip(chosen, cell_ids):
             y, x = self._cells[cell]

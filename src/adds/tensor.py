@@ -18,7 +18,8 @@ Tests run in float64, training may run in float32; ops preserve the input
 dtype.
 
 A value belongs to the caller holding its tensor and to the backward closures
-that read it, each of which captures, when its op runs, the arrays it reads.
+that read it, each of which captures, when its op runs, the arrays it reads,
+bar a product it forms again from them, as attention does its projections.
 The graph keeps only what routes gradients (``Tensor.node``), so a value no
 backward reads dies with the caller's last reference. A frozen leaf is a
 plain value that no op keeps as a parent, so no gradient is formed for it.
@@ -201,8 +202,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     v = x.value
-    out_val = np.where(v >= 0, 1.0 / (1.0 + np.exp(-np.abs(v))),
-                       np.exp(-np.abs(v)) / (1.0 + np.exp(-np.abs(v)))).astype(v.dtype)
+    ex = np.exp(-np.abs(v))
+    out_val = (np.where(v >= 0, 1.0, ex) / (1.0 + ex)).astype(v.dtype, copy=False)
     return _op(out_val, (x,), (lambda g: g * out_val * (1.0 - out_val),))
 
 
@@ -301,7 +302,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     ``params`` carries e x e projections wq, wk, wv, wo. Requires e % heads == 0,
     k and v of the same rows, and q, k, v of the same image count.
     Each image's projections are viewed as (heads, rows, e / heads) stacks;
-    backward keeps the projections and the softmax, nothing per head. The
+    backward keeps the inputs and the softmax and recomputes the projections. The
     scores of a stack are computed as many images at a time as fit CHUNK_BYTES;
     an image's scores depend on that image alone, so chunking changes no result.
     Scores and the kept softmax (``probs``) are (..., keys, queries) when
@@ -328,10 +329,14 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
     values = [x.value for x in (q, k, v)]
     weights = (params.wq, params.wk, params.wv)
     parents = (q, k, v, *weights, params.wo)
-    # np.empty, not x @ w: same bits, but @ put arrays where 240 px training ran 5% slower
-    proj = [np.matmul(x, w.value, out=np.empty((*x.shape[:-1], e), np.result_type(x, w.value)))
-            for x, w in zip(values, weights)]
-    qh, kh, vh = (split(p) for p in proj)
+
+    def project():  # the q, k, v projections, and their per-head views
+        # np.empty, not x @ w: same bits, but @ put arrays where 240 px training ran 5% slower
+        proj = [np.matmul(x, w, out=np.empty((*x.shape[:-1], e), np.result_type(x, w)))
+                for x, w in zip(values, (t.value for t in weights))]
+        return proj, [split(p) for p in proj]
+
+    proj, (qh, kh, vh) = project()
     n_q, n_k = qh.shape[-2], kh.shape[-2]
     key_major = n_k < min(n_q, 32)
     axis = -2 if key_major else -1  # the softmax axis
@@ -361,6 +366,7 @@ def multi_head_attention(q: Tensor, k: Tensor, v: Tensor, params, heads: int) ->
 
     def backward(routes, g):
         q, k, v, wq, wk, wv, wo = routes
+        proj, (qh, kh, vh) = project()  # formed again from the inputs, not kept since forward
         if wo is not None:
             wo.grad += _weight_grad(attended, g)
         g_att = split(np.matmul(g, params.wo.value.T, out=attended))

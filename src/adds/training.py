@@ -399,42 +399,48 @@ def evaluation_scores(ckpt: Checkpoint, vocab=None, n_eval=N_EVAL, eval_seed=EVA
     if not vocab:
         raise ValueError("vocab names no labels")
     queries = label_queries(world, vocab)
-    scores, _, labels = _decoder_scores(model, vocab, queries, n_eval, eval_seed)
+    scores, labels = _decoder_scores(model, vocab, queries, n_eval, eval_seed)
     return scores, labels, list(vocab)
 
 
 def _decoder_scores(model, vocab, queries, n_eval, eval_seed):
-    """(scores, images, labels) of a restored model on the evaluation set, scores
-    and labels n_eval x |vocab|, from the vocabulary's float64 ``queries``. A
-    forward takes as many images as fit CHUNK_BYTES of key/value and query rows,
-    which changes no bit of a score. The calling thread draws each chunk and
-    runs the decoder; one worker thread, joined before return, runs only each
-    chunk's pyramid and image tower (``encode_images``). An encode's error
-    reaches the caller as raised; the encodes queued after it are cancelled.
-    The first non-finite score raises a warning-free ``NumericError`` naming it."""
+    """(scores, labels) of a restored model on the evaluation set, each
+    n_eval x |vocab|, from the vocabulary's float64 ``queries``. A forward
+    takes as many images as fit CHUNK_BYTES of key/value and query rows, which
+    changes no bit of a score. The calling thread draws each chunk and runs
+    the decoder, keeping only labels; one worker thread, joined before return,
+    runs only each chunk's pyramid and image tower (``encode_images``). A
+    chunk's images live in its encode job, its rows until its forward returns.
+    An encode's error reaches the caller as raised; the encodes queued after
+    it are cancelled. The first non-finite score raises a warning-free
+    ``NumericError`` naming it."""
     config, world, stack, head = model
     plan, dtype = build_pyramid_plan(config), config.np_dtype
     cols, q0 = class_indices(world, vocab), queries.astype(dtype)
     samples = eval_samples(world, n_eval, eval_seed)
     kv_rows = plan.row_count(1 + world.image_encoder.n_patches)
     image_bytes = (kv_rows + len(vocab)) * config.embed_dim * dtype.itemsize
-    drawn, jobs, rows = [], [], []
+    labels, jobs, rows = [], [], []
 
     def cancel_later(job):  # on the worker, as an encode ends
         if not job.cancelled() and job.exception():
-            for later in jobs:
+            for later in filter(None, jobs):
                 later.cancel()
 
     pool = ThreadPoolExecutor(1)
     try:
         for c in batch_chunks(n_eval, image_bytes):
-            drawn += [next(samples) for _ in range(n_eval)[c]]
-            jobs.append(pool.submit(encode_images, world, plan, [i for i, _ in drawn[c]], dtype))
+            images, drawn_labels = zip(*(next(samples) for _ in range(n_eval)[c]))
+            labels += drawn_labels
+            jobs.append(pool.submit(encode_images, world, plan, images, dtype))
             jobs[-1].add_done_callback(cancel_later)
-        for kv in (job.result() for job in jobs):
+        del images  # the encode jobs alone hold the images
+        for i in range(len(jobs)):
+            kv, jobs[i] = jobs[i].result(), None  # kv is now the chunk's rows' one holder
             q = np.broadcast_to(q0, (len(kv), *q0.shape))
             with np.errstate(over="ignore", invalid="ignore"):
                 probs = classify(stack_forward(Tensor(q), Tensor(kv), stack), head)
+            del kv  # the rows die with their forward
             rows.append(probs.value[..., 0])
     finally:
         pool.shutdown(cancel_futures=True)
@@ -444,7 +450,7 @@ def _decoder_scores(model, vocab, queries, n_eval, eval_seed):
         image, label = bad[0]
         raise NumericError(f"score of eval image {image} for label {vocab[label]!r} "
                            f"is {scores[image, label]}")
-    return scores, [img for img, _ in drawn], np.stack([lab for _, lab in drawn])[:, cols]
+    return scores, np.stack(labels)[:, cols]
 
 
 def cosine_baseline_scores(world, images, labels) -> np.ndarray:
@@ -463,14 +469,16 @@ def cosine_baseline_scores(world, images, labels) -> np.ndarray:
 def open_vocab_report(ckpt: Checkpoint, n_eval=N_EVAL, eval_seed=EVAL_SEED) -> dict:
     """mAP of the decoder and of the cosine baseline over the seen, the unseen
     and all classes: {"decoder": {"seen", "unseen", "all"}, "cosine": {…}}.
-    Each group is a slice of the columns of one forward over every class."""
+    Each group is a slice of the columns of one forward over every class; the
+    baseline draws the decoder's images again from the same ``eval_samples``."""
     config, world, _, _ = model = restore_model(ckpt)
     names = world.class_names
     seen, unseen = open_vocab_split(names, config.n_seen)
     groups = {"seen": class_indices(world, seen), "unseen": class_indices(world, unseen),
               "all": slice(None)}
     queries = label_queries(world, names)
-    decoder, images, labels = _decoder_scores(model, names, queries, n_eval, eval_seed)
+    decoder, labels = _decoder_scores(model, names, queries, n_eval, eval_seed)
+    images = [img for img, _ in eval_samples(world, n_eval, eval_seed)]  # the same draws again
     scores = {"decoder": decoder, "cosine": cosine_baseline_scores(world, images, queries)}
     return {kind: {group: mean_average_precision(s[:, cols], labels[:, cols])[0]
                    for group, cols in groups.items()}

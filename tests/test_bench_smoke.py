@@ -21,9 +21,12 @@ def test_every_workload_runs_correct_and_reports_its_metrics():
              "--seconds", "0", "--trace", "0"],
             cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         for w in DECLARED["workloads"]}  # concurrently: a run is mostly one core's work
+    # every run is waited for before the first assertion, so that a failure
+    # leaves no process behind to warn in whichever test runs next
+    outputs = {name: run.communicate(timeout=300) for name, run in runs.items()}
     names = {m["name"] for m in DECLARED["end_to_end"]}
     for name, run in runs.items():
-        out, err = run.communicate(timeout=300)
+        out, err = outputs[name]
         assert run.returncode == 0, f"{name}: exit {run.returncode}\n{err}"
         result = json.loads(out.splitlines()[-1])
         assert result["correct"] is True and result["failed"] == 0, f"{name}: {result}"

@@ -388,6 +388,35 @@ class TestMultiHeadAttention:
         chunked, whole = self._chunked_and_whole(monkeypatch, chunk_bytes, 6, 4)
         assert all(np.array_equal(a, b) for a, b in zip(whole, chunked))
 
+    @pytest.mark.parametrize("q_rows, kv_rows", [(4, 6), (6, 4)])  # both score layouts
+    def test_backward_keeps_no_projection(self, q_rows, kv_rows):
+        # backward forms q @ wq, k @ wk and v @ wv again from the inputs it keeps
+        g = rng(41)
+        q, k, v = (param(g.standard_normal((3, n, 8))) for n in (q_rows, kv_rows, kv_rows))
+        p = AttentionParams(*(param(g.standard_normal((8, 8))) for _ in range(4)))
+        kept = multi_head_attention(q, k, v, p, heads=2).node()._backward
+        found, seen, todo = [], set(), [*kept.args, kept.func]
+        while todo:
+            x = todo.pop()
+            if id(x) in seen:
+                continue
+            seen.add(id(x))
+            if isinstance(x, np.ndarray):
+                found.append(x)
+                todo.append(x.base)
+            elif isinstance(x, (list, tuple)):
+                todo.extend(x)
+            elif isinstance(x, Tensor):
+                todo.extend((x.value, x.grad, x._parents, x._backward))
+            elif isinstance(x, AttentionParams):
+                todo.extend(vars(x).values())
+            elif getattr(x, "__closure__", None):
+                todo.extend(c.cell_contents for c in x.__closure__)
+        projections = [x.value @ w.value for x, w in ((q, p.wq), (k, p.wk), (v, p.wv))]
+        assert not [a for a in found for proj in projections
+                    if a.shape == proj.shape and np.allclose(a, proj)]
+        assert len(found) == 9  # q, k, v, four weights, the heads' output and the softmax
+
 
 # sha-256 (first 16 hex digits) of the visual-branch attention node's value and
 # of each gradient after one backward, at (images, query rows, keys): 8 x 85 x

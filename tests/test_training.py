@@ -688,6 +688,28 @@ class TestEvaluationPipeline:
         assert all(t == main for t in threads.values())
 
     @each_entry_point
+    def test_images_and_rows_die_with_their_chunk(self, ckpt, monkeypatch, entry):
+        # while chunk c is decoded, no image or key/value row of an earlier
+        # chunk is alive; chunk c's images may be, until the worker drops its job
+        encode, images, rows, alive = training.encode_images, [], [], []
+
+        def encode_spy(world, plan, chunk, *dtype):
+            images.append([weakref.ref(img) for img in chunk])
+            return encode(world, plan, chunk, *dtype)
+
+        def forward_spy(q, kv, *args, **kwargs):
+            earlier = images[:len(rows)] + [[ref] for ref in rows]
+            alive.append(sum(ref() is not None for chunk in earlier for ref in chunk))
+            rows.append(weakref.ref(kv.value))
+            return stack_forward(q, kv, *args, **kwargs)
+
+        monkeypatch.setattr(training, "encode_images", encode_spy)
+        monkeypatch.setattr(training, "stack_forward", forward_spy)
+        monkeypatch.setattr(tensor, "CHUNK_BYTES", 1)  # one image a chunk
+        entry(ckpt, n_eval=5)
+        assert len(images) >= 5 and alive == [0] * 5
+
+    @each_entry_point
     def test_encode_error_reaches_caller_and_cancels_later_encodes(self, ckpt, monkeypatch,
                                                                    entry):
         encode, boom = training.encode_images, RuntimeError("chunk 2")
