@@ -163,7 +163,7 @@ def cmd_plan(args) -> int:
                     "index": lv.index,
                     "resized_side": lv.resized_side,
                     "grid": lv.grid,
-                    "tiles": len(lv.tiles),
+                    "tiles": lv.grid**2,
                     "overlap_px": lv.overlap_px,
                     "cls_only": lv.cls_only,
                 }
@@ -181,7 +181,7 @@ def cmd_plan(args) -> int:
           f"{'overlap':>8} {'cls_only':>9}")
     for lv in plan.levels:
         print(f"{lv.index:>5} {lv.resized_side:>8} {lv.grid:>5} "
-              f"{len(lv.tiles):>6} {lv.overlap_px:>8} {str(lv.cls_only):>9}")
+              f"{lv.grid**2:>6} {lv.overlap_px:>8} {str(lv.cls_only):>9}")
     print(f"total tiles: {plan.tile_count()}")
     print(f"pyramid units: {report.pyramid_units}  naive units: {report.naive_units}  "
           f"ratio: {report.ratio:.2f}")

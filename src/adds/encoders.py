@@ -183,21 +183,20 @@ class SyntheticWorld:
     noise_std: float
     image_encoder: FrozenImageEncoder
     text_encoder: FrozenTextEncoder
-    _cells: list  # (y, x) of each planting cell, one patch apart
 
     def sample(self, stream, class_subset=None):
-        """One (image, binary label vector) pair with 1..MAX_PLANTED classes,
-        no more than the image has cells."""
+        """One (image, binary label vector) pair with 1..MAX_PLANTED classes, no more
+        than its patch-sized cells; cell i starts at patch_size * divmod(i, cells a side)."""
         k = len(self.class_names)
         pool = np.arange(k) if class_subset is None else np.asarray(class_subset)
-        n_pos = int(stream.integers(1, min(MAX_PLANTED, len(pool), len(self._cells)) + 1))
+        p, per_side = self.patch_size, self.image_side // self.patch_size
+        n_pos = int(stream.integers(1, min(MAX_PLANTED, len(pool), per_side**2) + 1))
         chosen = stream.choice(pool, size=n_pos, replace=False)
-        cell_ids = stream.choice(len(self._cells), size=n_pos, replace=False)
+        cell_ids = stream.choice(per_side**2, size=n_pos, replace=False)
         img = stream.standard_normal((self.image_side, self.image_side))
         img *= self.noise_std  # in place: one image-sized array per draw, not two
-        p = self.patch_size
         for c, cell in zip(chosen, cell_ids):
-            y, x = self._cells[cell]
+            y, x = (p * v for v in divmod(cell, per_side))
             img[y:y + p, x:x + p] = self.signatures[c]
         labels = np.zeros(k, dtype=np.int8)
         labels[chosen] = 1
@@ -263,9 +262,4 @@ def make_synthetic_world(
         noise_std=noise_std,
         image_encoder=encoder,
         text_encoder=FrozenTextEncoder(embed_dim, dict(zip(names, responses)), seed=seed),
-        _cells=[
-            (y, x)
-            for y in range(0, image_side, patch_size)
-            for x in range(0, image_side, patch_size)
-        ],
     )

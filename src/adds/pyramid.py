@@ -2,12 +2,13 @@
 
 A plan for scale d = target/base builds ceil(log2 d) + 1 levels. Level i
 resizes the image to min(base * 2^i, target) per side and covers it with an
-n_i x n_i grid of base-sized tiles, n_i = ceil(min(2^i, d)). When the resized
-side is not an exact multiple of the base size, tiles overlap with a uniform
-ceil-rounded stride and the last tile is pinned to the far edge. A plan is
-the levels it runs: a selection of level indices keeps those levels, and an
-empty or absent one keeps every level. Token embeddings of its tiles are
-stacked row-wise in level-major, row-major order.
+n_i x n_i grid of base-sized tiles, n_i = ceil(min(2^i, d)): every (y, x)
+pair of the n_i offsets the level stores. When the resized side is not an
+exact multiple of the base size, tiles overlap with a uniform ceil-rounded
+stride and the last tile is pinned to the far edge. A plan is the levels it
+runs: a selection of level indices keeps those levels, and an empty or absent
+one keeps every level. Token embeddings of its tiles are stacked row-wise in
+level-major, row-major order.
 """
 
 import math
@@ -18,18 +19,12 @@ import numpy as np
 from .errors import ConfigurationError, ShapeError
 
 
-@dataclass(frozen=True)
-class TileRect:
-    x: int  # column offset in the level's resized image
-    y: int  # row offset; every tile is the plan's base_size on a side
-
-
 @dataclass
 class LevelSpec:
     index: int
     resized_side: int
     grid: int  # tiles per axis
-    tiles: list[TileRect]
+    offsets: list[int]  # tile starts along one axis; tiles are base_size a side
     cls_only: bool
     overlap_px: int  # neighbor overlap along one axis; 0 on exact fit
 
@@ -42,11 +37,11 @@ class PyramidPlan:
     levels: list[LevelSpec]  # the levels it runs, in index order
 
     def tile_count(self) -> int:
-        return sum(len(lv.tiles) for lv in self.levels)
+        return sum(lv.grid**2 for lv in self.levels)
 
     def row_count(self, tokens_per_tile: int) -> int:
         """Stacked token rows of one image (see :func:`encode_and_stack`)."""
-        return sum(len(lv.tiles) * (1 if lv.cls_only else tokens_per_tile)
+        return sum(lv.grid**2 * (1 if lv.cls_only else tokens_per_tile)
                    for lv in self.levels)
 
 
@@ -91,7 +86,6 @@ def build_plan(
         n_i = math.ceil(min(2.0**i, d))
         resized = min(base_size * 2**i, target_side)
         xs = _tile_offsets(resized, base_size, n_i)
-        tiles = [TileRect(x=x, y=y) for y in xs for x in xs]
         if n_i > 1 and resized < n_i * base_size:
             overlap = base_size - (xs[1] - xs[0])
         else:
@@ -101,7 +95,7 @@ def build_plan(
                 index=i,
                 resized_side=resized,
                 grid=n_i,
-                tiles=tiles,
+                offsets=xs,
                 cls_only=cls_only_non_bottom and i != bottom,
                 overlap_px=overlap,
             )
@@ -161,9 +155,9 @@ def extract_tiles(images: np.ndarray, plan: PyramidPlan) -> np.ndarray:
     start = 0
     for lv in plan.levels:
         resized = images if lv.resized_side == side else resize_bilinear(images, lv.resized_side)
-        np.stack([resized[..., t.y : t.y + b, t.x : t.x + b] for t in lv.tiles], axis=-3,
-                 out=out[..., start : start + len(lv.tiles), :, :])
-        start += len(lv.tiles)
+        crops = [resized[..., y:y + b, x:x + b] for y in lv.offsets for x in lv.offsets]
+        np.stack(crops, axis=-3, out=out[..., start : start + len(crops), :, :])
+        start += len(crops)
     return out
 
 
@@ -175,7 +169,7 @@ def encode_and_stack(tiles: np.ndarray, plan: PyramidPlan, encoder) -> np.ndarra
     contribute one row (the CLS token) per tile; others contribute all tokens.
     """
     cls_only = np.repeat([lv.cls_only for lv in plan.levels],
-                         [len(lv.tiles) for lv in plan.levels])
+                         [lv.grid**2 for lv in plan.levels])
     if tiles.ndim < 3 or tiles.shape[-3] != len(cls_only):
         raise ShapeError(f"tiles of shape {tiles.shape} given but plan has "
                          f"{len(cls_only)} per image")

@@ -1,8 +1,19 @@
 """Checks applied to every test."""
 
+import contextlib
 import threading
+import warnings
 
 import pytest
+
+# hypothesis's pytest plugin imports this module when a @given test fails, and
+# the import warns (libcst uses mypy_extensions.TypedDict). Under the
+# "error" warning filter that warning ends the session before any other test
+# runs; importing the module once here, with the warning ignored, keeps every
+# failure reported.
+with warnings.catch_warnings(), contextlib.suppress(ImportError):
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 
 @pytest.fixture(autouse=True)

@@ -15,15 +15,21 @@ DECLARED = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def test_every_workload_runs_correct_and_reports_its_metrics():
-    runs = {
-        w["name"]: subprocess.Popen(
-            [sys.executable, "bench/run.py", "--workload", w["name"], "--seed", "1",
-             "--seconds", "0", "--trace", "0"],
-            cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        for w in DECLARED["workloads"]}  # concurrently: a run is mostly one core's work
-    # every run is waited for before the first assertion, so that a failure
-    # leaves no process behind to warn in whichever test runs next
-    outputs = {name: run.communicate(timeout=300) for name, run in runs.items()}
+    runs = {}
+    # every run is killed and waited for before the first assertion, so that
+    # neither a failure nor a timeout leaves a process behind to warn in
+    # whichever test runs next
+    try:
+        for w in DECLARED["workloads"]:  # concurrently: a run is mostly one core's work
+            runs[w["name"]] = subprocess.Popen(
+                [sys.executable, "bench/run.py", "--workload", w["name"], "--seed", "1",
+                 "--seconds", "0", "--trace", "0"],
+                cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        outputs = {name: run.communicate(timeout=300) for name, run in runs.items()}
+    finally:
+        for run in runs.values():
+            run.kill()  # a no-op on a run that has ended
+            run.communicate()
     names = {m["name"] for m in DECLARED["end_to_end"]}
     for name, run in runs.items():
         out, err = outputs[name]

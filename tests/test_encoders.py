@@ -349,7 +349,7 @@ class TestSyntheticWorld:
     def test_one_cell_plants_one_class(self):
         # more planted classes than cells once failed to draw their cells
         world = self._world(image_side=8, base_size=8, patch_size=8)
-        assert len(world._cells) == 1
+        assert (world.image_side // world.patch_size) ** 2 == 1
         stream = SeedStreams(1).stream("data")
         for _ in range(20):
             _, labels = world.sample(stream)
@@ -363,7 +363,7 @@ class TestSyntheticWorld:
             sig = world.signatures[c]
             found = any(
                 np.array_equal(img[y:y + 4, x:x + 4], sig)
-                for (y, x) in world._cells
+                for y in range(0, 32, 4) for x in range(0, 32, 4)
             )
             assert found
 
@@ -401,6 +401,16 @@ class TestSyntheticWorld:
         finally:
             tracemalloc.stop()
         assert peak < 32e6
+
+    def test_world_build_memory_does_not_grow_with_its_cells(self):
+        # 65,536 planting cells at 2,048 px: a cell is its index, never a stored pair
+        tracemalloc.start()
+        try:
+            make_synthetic_world(16, 2048, 32, 16, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     def test_alignment_by_construction(self):
         # the text vector of a class is exactly the unit CLS response of the

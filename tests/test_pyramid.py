@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ class TestBuildPlan:
     def test_reference_geometry_336_1344(self):
         plan = build_plan(336, 1344)
         assert [lv.grid for lv in plan.levels] == [1, 2, 4]
-        assert [len(lv.tiles) for lv in plan.levels] == [1, 4, 16]
+        assert [len(lv.offsets) ** 2 for lv in plan.levels] == [1, 4, 16]
         assert plan.tile_count() == 21
         assert [lv.resized_side for lv in plan.levels] == [336, 672, 1344]
         assert all(lv.overlap_px == 0 for lv in plan.levels)
@@ -39,14 +40,13 @@ class TestBuildPlan:
         top = plan.levels[1]
         assert top.resized_side == 150
         assert top.overlap_px == 100 - (150 - 100)
-        xs = sorted({t.x for t in top.tiles})
+        xs = sorted(set(top.offsets))
         assert xs == [0, 50]
 
     def test_degenerate_single_level(self):
         plan = build_plan(64, 64)
         assert len(plan.levels) == 1
-        only = plan.levels[0].tiles[0]
-        assert (only.x, only.y, plan.base_size) == (0, 0, 64)
+        assert (plan.levels[0].offsets, plan.base_size) == ([0], 64)
         assert plan.tile_count() == 1
 
     def test_level_selection(self):
@@ -59,7 +59,7 @@ class TestBuildPlan:
         full = build_plan(336, 1344)
         plan = build_plan(336, 1344, selected_levels=[2, 0, 2])
         assert [lv.index for lv in plan.levels] == [0, 2]
-        assert [lv.tiles for lv in plan.levels] == [full.levels[0].tiles, full.levels[2].tiles]
+        assert [lv.offsets for lv in plan.levels] == [full.levels[0].offsets, full.levels[2].offsets]
         assert plan.tile_count() == 1 + 16
         assert plan.row_count(5) == 5 * (1 + 16)
         assert cost_report(plan).per_level_tiles == {0: 1, 2: 16}
@@ -70,6 +70,17 @@ class TestBuildPlan:
     def test_cls_only_flags_bottom_excluded(self):
         plan = build_plan(336, 1344, cls_only_non_bottom=True)
         assert [lv.cls_only for lv in plan.levels] == [True, True, False]
+
+    def test_plan_memory_does_not_grow_with_its_tiles(self):
+        # 1,398,101 tiles: a plan holds each level's offsets, never an object per tile
+        tracemalloc.start()
+        try:
+            plan = build_plan(1, 1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan.tile_count() == sum(4**i for i in range(11))
+        assert peak < 2e6
 
     def test_target_smaller_than_base(self):
         with pytest.raises(ConfigurationError):
@@ -89,8 +100,8 @@ class TestTileGeometry:
         for lv in plan.levels:
             n = lv.grid
             assert n == math.ceil(min(2.0**lv.index, d))
-            assert len(lv.tiles) == n * n
-            xs = sorted({t.x for t in lv.tiles})
+            assert len(lv.offsets) == n
+            xs = sorted(set(lv.offsets))
             assert xs[0] == 0
             assert xs[-1] == lv.resized_side - base
             if n > 2:
@@ -142,12 +153,13 @@ class TestExtractTiles:
         plan = build_plan(32, 240, cls_only_non_bottom=cls_only)
         bottom = plan.levels[-1]
         # the bottom level overlaps, and its last tile is pinned to the edge
-        assert bottom.overlap_px > 0 and bottom.tiles[-1].x == 240 - 32
+        assert bottom.overlap_px > 0 and bottom.offsets[-1] == 240 - 32
         crops = []
         for lv in plan.levels:
             resized = resize_bilinear(img, lv.resized_side)
             side = plan.base_size
-            crops.extend(resized[t.y : t.y + side, t.x : t.x + side] for t in lv.tiles)
+            crops.extend(resized[y : y + side, x : x + side]
+                         for y in lv.offsets for x in lv.offsets)
         np.testing.assert_array_equal(extract_tiles(img, plan), crops)
 
     def test_wrong_image_side(self):
